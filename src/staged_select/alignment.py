@@ -41,12 +41,12 @@ from .core_model import (
     sample_replications,
 )
 from .errors import DimensionMismatch, NonDeterministicStrategy
+from .oracle import exact_expected_value
 from .selection_engine import (
     StagewiseRun,
     Strategy,
     greedy_strategy,
     ranked_ids,
-    run_selection,
 )
 
 
@@ -459,15 +459,18 @@ def verify_exhaustive(model, s: Schedule, alg: Strategy,
     dominance, per-block permutation structure with history measurability,
     probability preservation P(image) = P(atom), global injectivity (hence
     bijectivity), exact inversion, and the change-of-variables identity
-    sum P * greedy(image) = sum P * greedy(atom).
+    sum P * greedy(image) = sum P * greedy(atom).  The image side sums the
+    per-atom greedy runs on Y; the direct side is greedy's exact expected
+    value from `exact_expected_value`, which walks the tree of reachable
+    histories instead of running greedy on every atom.  The model must be
+    discrete with independent increments, as for the oracles.
     """
+    sum_direct = exact_expected_value(model, s, greedy_strategy(), cap=cap).value
     atoms = enumerate_paths(model, s.N, s.T, cap=cap)
     index = {x.key(): p for x, p in atoms}
-    greedy_alg = greedy_strategy()
     dom_bad = perm_bad = inv_bad = 0
     pushforward_ok = True
     image_keys = set()
-    sum_direct = 0
     sum_image = 0
     for x, prob in atoms:
         w = build_alignment(x, s, alg)
@@ -484,7 +487,6 @@ def verify_exhaustive(model, s: Schedule, alg: Strategy,
         if index.get(y_key) != prob:
             pushforward_ok = False
         sum_image += prob * w.greedy_final
-        sum_direct += prob * run_selection(x, s, greedy_alg).final_value
     return VerifyResult(
         mode="exhaustive",
         strategy=alg.describe(),
@@ -559,11 +561,3 @@ def witness_to_csv_rows(w: AlignmentWitness) -> list[tuple]:
         ))
     return rows
 
-
-def permutation_summary_rows(w: AlignmentWitness, s: Schedule,
-                             alg: Strategy | None = None) -> list[tuple]:
-    report = check_block_permutation(w, s, alg=alg)
-    return [
-        (b.block, int(b.bijective), int(b.rows_match), int(b.history_measurable))
-        for b in report.blocks
-    ]

@@ -50,9 +50,7 @@ from .errors import (
 )
 from .selection_engine import (
     TRACE_CSV_HEADER,
-    baseline_strategies,
     full_catalog,
-    greedy_strategy,
     run_selection,
     strategy_from_config,
     trace_to_csv_rows,
@@ -210,6 +208,7 @@ def cmd_verify(args) -> int:
     mode = cfg["mode"]
     if mode not in ("exhaustive", "mc"):
         raise ConfigInvalid("config.mode: expected 'exhaustive' or 'mc'")
+    cap = _positive_int(cfg, "cap") if "cap" in cfg else ENUMERATION_CAP
     if "strategies" in cfg:
         strategies = _parse_strategies(cfg["strategies"])
     elif "strategy" in cfg:
@@ -220,7 +219,6 @@ def cmd_verify(args) -> int:
     results = []
     for strat in strategies:
         if mode == "exhaustive":
-            cap = cfg.get("cap", ENUMERATION_CAP)
             res = alignment.verify_exhaustive(model, schedule, strat, cap=cap)
         else:
             reps = args.reps if args.reps is not None else cfg.get("reps")
@@ -244,7 +242,7 @@ def cmd_oracle(args) -> int:
                 {"model", "schedule"})
     model = model_from_config(cfg["model"])
     schedule = schedule_from_config(cfg["schedule"])
-    cap = cfg.get("cap", ENUMERATION_CAP)
+    cap = _positive_int(cfg, "cap") if "cap" in cfg else ENUMERATION_CAP
     if "strategies" in cfg:
         strategies = _parse_strategies(cfg["strategies"])
     else:
@@ -267,7 +265,8 @@ def cmd_oracle(args) -> int:
     if bug:
         doc["exceeds_optimum"] = bug  # impossible if the oracles are right
     if cfg.get("search"):
-        res = oracle.exhaustive_strategy_search(model, schedule)
+        search_cap = cap if "cap" in cfg else oracle.SEARCH_CAP
+        res = oracle.exhaustive_strategy_search(model, schedule, cap=search_cap)
         doc["search_optimal"] = str(res.best)
         doc["search_strategy_space"] = str(res.strategy_space_size)
         doc["search_decision_histories"] = res.decision_histories

@@ -6,8 +6,10 @@ rationals, never float comparisons.
 
 Three independent routes to the optimal expected final value exist:
 
-* `exact_expected_value` evaluates one concrete strategy by full path
-  enumeration;
+* `exact_expected_value` evaluates one concrete strategy on the tree of
+  reachable histories: one strategy decision per reachable stage history,
+  with only the kept processes' rows extended block by block, weighted by
+  products of step probabilities;
 * `dp_optimal_value` maximizes over all history-measurable strategies by
   backward induction, memoized on a rank-canonicalized history encoding
   (symmetric states merge; sound because processes are exchangeable and
@@ -24,6 +26,7 @@ shortcuts empirically rather than by appeal to theory.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -40,12 +43,13 @@ from .core_model import (
     enumerate_paths,
 )
 from .errors import (
+    ConfigInvalid,
     EnumerationTooLarge,
     IndependenceViolated,
     PreconditionViolated,
     SearchTooLarge,
 )
-from .selection_engine import Strategy, run_selection
+from .selection_engine import Strategy, stage_decision
 
 #: default cap on decision-tree nodes for the uncompressed search
 SEARCH_CAP = 5_000_000
@@ -75,12 +79,68 @@ def _require_discrete_independent(model: Model) -> Discrete:
     if isinstance(model, Rademacher):
         return model.as_discrete()
     if not isinstance(model, Discrete):
-        raise TypeError("exact oracles need a discrete-step model")
+        raise ConfigInvalid(
+            f"model: exact oracles need a discrete-step model, got {model.tag()}"
+        )
     return model
 
 
 # ---------------------------------------------------------------------------
-# strategy evaluation by enumeration
+# the tree of reachable histories
+# ---------------------------------------------------------------------------
+
+Rows = tuple[tuple[Number, ...], ...]
+
+
+class _HistoryTree:
+    """Block-by-block expansion of a discrete-step ensemble's histories.
+
+    A node holds every process's visible value and step rows; a row's
+    length is its horizon, so eliminated rows stay frozen at their
+    elimination time and nothing past the current observation time exists.
+    Expanding a node extends only the given processes' rows by one block.
+    """
+
+    def __init__(self, disc: Discrete, s: Schedule):
+        self.steps = list(zip(disc.support, disc.probs))
+        self.spans = s.block_bounds()
+        self.N = s.N
+
+    def expectation(self, j: int, values: Rows, increments: Rows,
+                    kept: tuple[int, ...], then) -> Fraction:
+        """E[then(j + 1, values', increments', kept)] over every outcome of
+        block j + 1 for the kept rows (j = 0 expands the empty history)."""
+        lo, hi = self.spans[j]
+        length = hi - lo
+        total = Fraction(0)
+        for combo in itertools.product(self.steps, repeat=len(kept) * length):
+            prob = Fraction(1)
+            new_values = list(values)
+            new_increments = list(increments)
+            for idx, i in enumerate(kept):
+                segment = combo[idx * length:(idx + 1) * length]
+                row = list(values[i])
+                # sequential accumulation, as in the PathEnsemble constructor
+                acc = row[-1]
+                for step, q in segment:
+                    prob *= q
+                    acc = acc + step
+                    row.append(acc)
+                new_values[i] = tuple(row)
+                new_increments[i] = increments[i] + tuple(step for step, _ in segment)
+            total += prob * then(j + 1, tuple(new_values), tuple(new_increments), kept)
+        return total
+
+    def root_expectation(self, then) -> Fraction:
+        """Expectation from time 0, where every process is a candidate."""
+        start_values = tuple((0,) for _ in range(self.N))
+        start_increments = tuple(() for _ in range(self.N))
+        return self.expectation(0, start_values, start_increments,
+                                tuple(range(self.N)), then)
+
+
+# ---------------------------------------------------------------------------
+# strategy evaluation on the history tree
 # ---------------------------------------------------------------------------
 
 def exact_expected_value(
@@ -93,17 +153,39 @@ def exact_expected_value(
 def exact_expected_values(
     model: Model, s: Schedule, algs: Sequence[Strategy], cap: int = ENUMERATION_CAP
 ) -> list[ExactValue]:
-    """Evaluate several strategies over a single path enumeration."""
+    """Evaluate strategies exactly on the tree of reachable histories.
+
+    At each reachable stage-j history the strategy decides once, through
+    the same view and legality checks as a `StagewiseRun`; the walk then
+    branches on block j+1's outcomes for the kept processes only.  An
+    eliminated process's later steps reach neither a decision nor the final
+    value, so they are summed out rather than enumerated.  The result equals
+    the sum of P(atom) * final value over the full path enumeration, which
+    the cap still bounds.
+    """
     disc = _require_discrete_independent(model)
-    atoms = enumerate_paths(disc, s.N, s.T, cap=cap)
+    count = len(disc.support) ** (s.N * s.T)
+    if count > cap:
+        raise EnumerationTooLarge(count, cap)
+    tree = _HistoryTree(disc, s)
     label = instance_label(model, s)
-    out = []
-    for alg in algs:
-        total = Fraction(0)
-        for x, prob in atoms:
-            total += prob * run_selection(x, s, alg).final_value
-        out.append(ExactValue(value=total, instance=label, strategy=alg.describe()))
-    return out
+    return [
+        ExactValue(value=_strategy_value(tree, s, alg), instance=label,
+                   strategy=alg.describe())
+        for alg in algs
+    ]
+
+
+def _strategy_value(tree: _HistoryTree, s: Schedule, alg: Strategy) -> Fraction:
+    def decide(j: int, values: Rows, increments: Rows,
+               candidates: tuple[int, ...]) -> Fraction:
+        horizons = tuple(len(row) - 1 for row in values)
+        chosen = stage_decision(s, alg, j, candidates, values, increments, horizons)
+        if j == s.stages:
+            return values[chosen[0]][s.T]
+        return tree.expectation(j, values, increments, chosen, decide)
+
+    return tree.root_expectation(decide)
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +323,6 @@ class SearchResult:
     decision_histories: int    # distinct reachable decision points
 
 
-def _comb(n: int, r: int) -> int:
-    import math
-    return math.comb(n, r)
-
-
 def exhaustive_strategy_search(
     model: Model, s: Schedule, cap: int = SEARCH_CAP
 ) -> SearchResult:
@@ -264,7 +341,6 @@ def exhaustive_strategy_search(
     """
     disc = _require_discrete_independent(model)
     spans = s.block_bounds()
-    steps = list(zip(disc.support, disc.probs))
     sizes = s.sizes
     k = s.stages
 
@@ -276,54 +352,34 @@ def exhaustive_strategy_search(
         alive = s.N if j == 1 else sizes[j - 2]
         nodes *= len(disc.support) ** (alive * (hi - lo))
         histories_at_stage.append(nodes)
-        nodes *= _comb(alive, sizes[j - 1]) if j < k else 1
+        nodes *= math.comb(alive, sizes[j - 1]) if j < k else 1
     total_nodes = sum(histories_at_stage)
     if total_nodes > cap:
         raise SearchTooLarge(total_nodes, cap)
     strategy_space = 1
     for j in range(1, k + 1):
         alive = s.N if j == 1 else sizes[j - 2]
-        strategy_space *= _comb(alive, sizes[j - 1]) ** histories_at_stage[j - 1]
+        strategy_space *= math.comb(alive, sizes[j - 1]) ** histories_at_stage[j - 1]
 
+    tree = _HistoryTree(disc, s)
     visited = 0
 
-    def best_at_decision(j: int, paths: tuple[tuple[Fraction, ...], ...],
+    def best_at_decision(j: int, values: Rows, increments: Rows,
                          survivors: tuple[int, ...]) -> Fraction:
         nonlocal visited
         visited += 1
-        n_j = sizes[j - 1]
         best: Fraction | None = None
-        for chosen in itertools.combinations(survivors, n_j):
+        for chosen in itertools.combinations(survivors, sizes[j - 1]):
             if j == k:
-                value = paths[chosen[0]][-1]
+                value = values[chosen[0]][-1]
             else:
-                value = continue_from(j, paths, chosen)
+                value = tree.expectation(j, values, increments, chosen, best_at_decision)
             if best is None or value > best:
                 best = value
         assert best is not None
         return best
 
-    def continue_from(j: int, paths, survivors) -> Fraction:
-        # enumerate full increment sequences of the next block, survivors only
-        lo, hi = spans[j]
-        length = hi - lo
-        m = len(survivors)
-        total = Fraction(0)
-        for combo in itertools.product(steps, repeat=m * length):
-            prob = Fraction(1)
-            new_paths = list(paths)
-            for idx, i in enumerate(survivors):
-                segment = combo[idx * length:(idx + 1) * length]
-                row = list(paths[i])
-                for step, q in segment:
-                    prob *= q
-                    row.append(row[-1] + step)
-                new_paths[i] = tuple(row)
-            total += prob * best_at_decision(j + 1, tuple(new_paths), survivors)
-        return total
-
-    start = tuple((Fraction(0),) for _ in range(s.N))
-    value = continue_from(0, start, tuple(range(s.N)))
+    value = tree.root_expectation(best_at_decision)
     return SearchResult(
         best=ExactValue(value=value, instance=instance_label(model, s),
                         strategy="exhaustive_search"),

@@ -31,8 +31,13 @@ from .errors import (
 
 
 def ranked_ids(ids: Sequence[int], value_of: Callable[[int], Number]) -> list[int]:
-    """Ids ordered best-first: by value descending, ties to the smaller id."""
-    return sorted(ids, key=lambda i: (-value_of(i), i))
+    """Ids ordered best-first: by value descending, ties to the smaller id.
+
+    Sorting ascending ids by value with `reverse=True` keeps equal values in
+    ascending id order (Python's reverse sort is stable), so no negated key
+    or tuple is built per id.
+    """
+    return sorted(sorted(ids), key=value_of, reverse=True)
 
 
 def rank_desc(values: Sequence[Number]) -> list[int]:
@@ -177,7 +182,7 @@ def _drift_aware(view: HistoryView, size: int) -> list[int]:
         est = (min(steps) + max(steps)) / 2
         return v + remaining * est
 
-    return sorted(view.survivors, key=lambda i: (-score(i), i))[:size]
+    return ranked_ids(view.survivors, score)[:size]
 
 
 @lru_cache(maxsize=64)
@@ -199,7 +204,7 @@ def random_fixed_strategy(aux_seed: int) -> Strategy:
     def choose(view: HistoryView, size: int) -> list[int]:
         table = _priority_table(aux_seed, len(view.times), view.n_processes)
         row = table[view.stage - 1]
-        return sorted(view.survivors, key=lambda i: (-row[i], i))[:size]
+        return ranked_ids(view.survivors, row.__getitem__)[:size]
 
     return Strategy(name="random_fixed", chooser=choose, aux_seed=aux_seed)
 
@@ -301,6 +306,46 @@ def assign_temporal_indices(
     return indices
 
 
+def stage_decision(
+    s: Schedule,
+    strategy: Strategy,
+    stage: int,
+    candidates: tuple[int, ...],
+    values: Sequence[Sequence[Number]],
+    increments: Sequence[Sequence[Number]],
+    horizons: tuple[int, ...],
+) -> tuple[int, ...]:
+    """The strategy's checked stage decision, as a sorted survivor tuple.
+
+    Builds the stage's `HistoryView` (each process visible up to its
+    horizon; the candidates' horizon is t_j), runs the strategy once and
+    raises `StrategyViolation` unless it picked exactly n_j distinct
+    candidates.  Rows need only reach their horizon: reads past it raise
+    `ValueHidden` before any row is indexed.
+    """
+    n_j = s.sizes[stage - 1]
+    view = HistoryView(
+        stage=stage,
+        time=s.times[stage - 1],
+        times=s.times,
+        survivors=candidates,
+        _values=values,
+        _increments=increments,
+        _horizons=horizons,
+    )
+    chosen = strategy.select(view, n_j)
+    chosen_set = set(chosen)
+    if len(chosen) != n_j or len(chosen_set) != n_j:
+        raise StrategyViolation(
+            f"{strategy.name} returned {len(chosen)} picks at stage {stage}, wanted {n_j} distinct"
+        )
+    if not chosen_set <= set(candidates):
+        raise StrategyViolation(
+            f"{strategy.name} selected non-survivors {sorted(chosen_set - set(candidates))} at stage {stage}"
+        )
+    return tuple(sorted(chosen_set))
+
+
 class StagewiseRun:
     """Incremental strategy execution over a (possibly growing) value grid.
 
@@ -330,30 +375,12 @@ class StagewiseRun:
         if j > self.schedule.stages:
             raise StageOutOfOrder(f"all {self.schedule.stages} stages already run")
         t_j = self.schedule.times[j - 1]
-        n_j = self.schedule.sizes[j - 1]
         candidates = self.survivors
         # visibility: candidates up to t_j, earlier casualties stay frozen
         for i in candidates:
             self.horizons[i] = t_j
-        view = HistoryView(
-            stage=j,
-            time=t_j,
-            times=self.schedule.times,
-            survivors=candidates,
-            _values=self.values,
-            _increments=self.increments,
-            _horizons=tuple(self.horizons),
-        )
-        chosen = self.strategy.select(view, n_j)
-        chosen_set = set(chosen)
-        if len(chosen) != n_j or len(chosen_set) != n_j:
-            raise StrategyViolation(
-                f"{self.strategy.name} returned {len(chosen)} picks at stage {j}, wanted {n_j} distinct"
-            )
-        if not chosen_set <= set(candidates):
-            raise StrategyViolation(
-                f"{self.strategy.name} selected non-survivors {sorted(chosen_set - set(candidates))} at stage {j}"
-            )
+        survivors = stage_decision(self.schedule, self.strategy, j, candidates,
+                                   self.values, self.increments, tuple(self.horizons))
         if self.detail:
             values_at_tj = [self.values[i][t_j] for i in range(self.schedule.N)]
             indices = tuple(sorted(assign_temporal_indices(self.records, j, values_at_tj).items()))
@@ -361,8 +388,7 @@ class StagewiseRun:
         else:
             indices = ()
             observed = ()
-        survivors = tuple(sorted(chosen_set))
-        eliminated = tuple(sorted(set(candidates) - chosen_set))
+        eliminated = tuple(i for i in candidates if i not in survivors)
         record = StageRecord(
             stage=j,
             time=t_j,

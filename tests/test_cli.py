@@ -164,6 +164,58 @@ def test_oracle_cap_exceeded_exits_3(tmp_path, capsys):
     assert "cap of 10" in capsys.readouterr().err
 
 
+GAUSSIAN = {"kind": "gaussian", "mean": 0, "stddev": 1}
+UNIFORM = {"kind": "uniform", "lo": -1, "hi": 1}
+DRIFT = {"kind": "drift", "base": {"kind": "rademacher", "scale": 1},
+         "drift_support": [1, -1], "drift_probs": ["1/2", "1/2"]}
+
+
+@pytest.mark.parametrize("model", [GAUSSIAN, UNIFORM])
+def test_oracle_continuous_model_exits_2(tmp_path, capsys, model):
+    doc = dict(INSTANCE_A, model=model)
+    assert run(["oracle", "--config", write_config(tmp_path, doc)]) == 2
+    assert "discrete-step model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", [GAUSSIAN, UNIFORM])
+def test_verify_exhaustive_continuous_model_exits_2(tmp_path, capsys, model):
+    doc = dict(INSTANCE_A, model=model, mode="exhaustive", strategy={"name": "greedy"})
+    assert run(["verify", "--config", write_config(tmp_path, doc)]) == 2
+    assert "discrete-step model" in capsys.readouterr().err
+
+
+def test_verify_exhaustive_drift_model_exits_4(tmp_path, capsys):
+    doc = dict(INSTANCE_A, model=DRIFT, mode="exhaustive", strategy={"name": "greedy"})
+    assert run(["verify", "--config", write_config(tmp_path, doc)]) == 4
+    assert "independent increments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["big", True, False, -1, 1.5, None])
+@pytest.mark.parametrize("command", ["oracle", "verify"])
+def test_bad_cap_exits_2(tmp_path, capsys, command, cap):
+    doc = dict(INSTANCE_A, cap=cap)
+    if command == "verify":
+        doc.update(mode="exhaustive", strategy={"name": "greedy"})
+    assert run([command, "--config", write_config(tmp_path, doc)]) == 2
+    assert "config.cap" in capsys.readouterr().err
+
+
+def test_verify_cap_exceeded_exits_3(tmp_path, capsys):
+    doc = dict(INSTANCE_A, cap=10, mode="exhaustive", strategy={"name": "greedy"})
+    assert run(["verify", "--config", write_config(tmp_path, doc)]) == 3
+    assert "cap of 10" in capsys.readouterr().err
+
+
+def test_oracle_search_honours_config_cap(tmp_path, capsys):
+    # 64 paths and DP fit under 100, the search's 104 nodes do not
+    doc = dict(INSTANCE_A, cap=100, search=True)
+    assert run(["oracle", "--config", write_config(tmp_path, doc)]) == 3
+    assert "cap of 100" in capsys.readouterr().err
+    doc["cap"] = 104
+    assert run(["oracle", "--config", write_config(tmp_path, doc)]) == 0
+    assert json.loads(capsys.readouterr().out)["search_decision_histories"] == 104
+
+
 # --- lemma --------------------------------------------------------------------
 
 def test_lemma_sweep_passes(capsys):

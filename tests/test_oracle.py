@@ -9,14 +9,29 @@ from hypothesis import strategies as st
 
 import staged_select as ss
 from staged_select.errors import (
+    ConfigInvalid,
     EnumerationTooLarge,
     IndependenceViolated,
     PreconditionViolated,
     SearchTooLarge,
+    StrategyViolation,
+    ValueHidden,
 )
 
 MODEL_A = ss.rademacher(1)
 SCHEDULE_A = ss.validate_schedule([1, 2], [2, 1], N=3, T=2)
+
+# the acceptance gate's six discrete certification instances
+INSTANCES = {
+    "A": (ss.rademacher(1), ss.validate_schedule([1, 2], [2, 1], N=3, T=2)),
+    "B": (ss.discrete([1, -1], ["2/3", "1/3"]), ss.validate_schedule([1, 2], [2, 1], N=4, T=2)),
+    "C": (ss.discrete([1, 0, -1], ["1/3", "1/3", "1/3"]),
+          ss.validate_schedule([1, 2], [2, 1], N=3, T=2)),
+    "D": (ss.rademacher(1), ss.validate_schedule([1, 2, 3], [3, 2, 1], N=4, T=3)),
+    "E": (ss.discrete([2, -1, 0], ["1/6", "1/3", "1/2"]),
+          ss.validate_schedule([1, 2], [3, 1], N=4, T=2)),
+    "F": (ss.discrete([1, -1], ["1/2", "1/2"]), ss.validate_schedule([2, 3], [2, 1], N=3, T=3)),
+}
 
 
 # --- exact expectations -------------------------------------------------------
@@ -57,6 +72,66 @@ def test_exact_value_refuses_drift_models():
 def test_exact_value_respects_cap():
     with pytest.raises(EnumerationTooLarge):
         ss.exact_expected_value(MODEL_A, SCHEDULE_A, ss.greedy_strategy(), cap=10)
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_history_tree_equals_per_atom_reference(name):
+    # the scalar reference: run every strategy on every enumerated atom
+    model, s = INSTANCES[name]
+    atoms = ss.enumerate_paths(model, s.N, s.T)
+    catalog = ss.full_catalog()
+    values = ss.exact_expected_values(model, s, catalog)
+    for strat, got in zip(catalog, values):
+        reference = sum(p * ss.run_selection(x, s, strat).final_value for x, p in atoms)
+        assert type(got.value) is Fraction
+        assert got.value == reference, (name, strat.describe())
+        assert got.strategy == strat.describe()
+
+
+def _peek_at_casualty(view, size):
+    gone = [i for i in range(view.n_processes) if i not in view.survivors]
+    if gone:
+        view.value_at(gone[0], view.time)
+    return view.survivors[:size]
+
+
+def _peek_at_future(view, size):
+    view.value_at(view.survivors[0], view.final_time)
+    return view.survivors[:size]
+
+
+@pytest.mark.parametrize("chooser", [_peek_at_casualty, _peek_at_future])
+def test_history_tree_hides_values_past_each_horizon(chooser):
+    peek = ss.Strategy(name="peek", chooser=chooser)
+    with pytest.raises(ValueHidden):
+        ss.exact_expected_value(MODEL_A, SCHEDULE_A, peek)
+
+
+def test_history_tree_rejects_wrong_size_picks():
+    bad = ss.Strategy(name="bad", chooser=lambda view, size: view.survivors)
+    with pytest.raises(StrategyViolation):
+        ss.exact_expected_value(MODEL_A, SCHEDULE_A, bad)
+
+
+def test_history_tree_sees_eliminated_rows_frozen():
+    # a stage-2 view shows the casualty's path up to t_1 and nothing later
+    seen = set()
+
+    def probe(view, size):
+        if view.stage == 2:
+            gone = next(i for i in range(view.n_processes) if i not in view.survivors)
+            seen.add((view.horizon(gone), len(view.path(gone)),
+                      len(view.step_increments(gone))))
+        return view.survivors[:size]
+
+    ss.exact_expected_value(MODEL_A, SCHEDULE_A, ss.Strategy(name="probe", chooser=probe))
+    assert seen == {(1, 2, 1)}
+
+
+def test_exact_value_needs_discrete_steps():
+    for model in (ss.gaussian(0, 1), ss.uniform(-1, 1)):
+        with pytest.raises(ConfigInvalid, match="discrete-step model"):
+            ss.exact_expected_value(model, SCHEDULE_A, ss.greedy_strategy())
 
 
 # --- backward induction --------------------------------------------------------

@@ -1,5 +1,7 @@
 """Strategy execution, ranking, temporal indices, and information hiding."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from staged_select.errors import (
     StrategyViolation,
     ValueHidden,
 )
-from staged_select.selection_engine import StageRecord
+from staged_select.selection_engine import StageRecord, ranked_ids
 
 SCHEDULE_A = ss.validate_schedule([1, 2], [2, 1], N=3, T=2)
 # the hand-trace realization used across the suite: values at t=1 are
@@ -43,6 +45,35 @@ def test_rank_desc_reversal_on_distinct(values):
     forward = ss.rank_desc(values)
     backward = ss.rank_desc([-v for v in values])
     assert all(f + b == n + 1 for f, b in zip(forward, backward))
+
+
+def _ranked_reference(ids, value_of):
+    # the tie rule spelled out as a sort key: value descending, then id
+    return sorted(ids, key=lambda i: (-value_of(i), i))
+
+
+@pytest.mark.parametrize("values", [
+    {0: Fraction(1, 3), 1: Fraction(2, 6), 2: Fraction(1, 2), 3: Fraction(1, 3)},
+    {0: 0.5, 1: 1.5, 2: 0.5, 3: 0.5},
+    {0: 0.0, 1: -0.0, 2: -0.0, 3: 0.0},
+])
+@pytest.mark.parametrize("ids", [(0, 1, 2, 3), (3, 2, 1, 0), (2, 0, 3, 1)])
+def test_ranked_ids_ties_go_to_the_smaller_id(values, ids):
+    order = ranked_ids(ids, values.__getitem__)
+    assert order == _ranked_reference(ids, values.__getitem__)
+    for a, b in zip(order, order[1:]):
+        assert values[a] > values[b] or (values[a] == values[b] and a < b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_ranked_ids_matches_the_key_reference(data):
+    values = data.draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]),
+                                min_size=1, max_size=12))
+    ids = data.draw(st.permutations(range(len(values))))
+    assert ranked_ids(ids, values.__getitem__) == _ranked_reference(ids, values.__getitem__)
+    fractions = [Fraction(v) for v in values]
+    assert ranked_ids(ids, fractions.__getitem__) == _ranked_reference(ids, fractions.__getitem__)
 
 
 # --- temporal indices -------------------------------------------------------

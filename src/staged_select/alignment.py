@@ -31,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .core_model import (
     Model,
     Number,
@@ -39,13 +41,17 @@ from .core_model import (
     enumerate_paths,
     ENUMERATION_CAP,
     sample_replications,
+    value_grid,
 )
 from .errors import DimensionMismatch, NonDeterministicStrategy
 from .oracle import exact_expected_value
 from .selection_engine import (
     StagewiseRun,
     Strategy,
+    batched_stage,
     greedy_strategy,
+    has_batched_rule,
+    ranked_columns,
     ranked_ids,
 )
 
@@ -409,6 +415,212 @@ def check_block_permutation(w: AlignmentWitness, s: Schedule,
 
 
 # ---------------------------------------------------------------------------
+# the dual walk over a whole chunk
+# ---------------------------------------------------------------------------
+
+_GREEDY = greedy_strategy()
+
+ALL_CHECKS = ("dominance", "permutation", "inversion")
+
+
+@dataclass(frozen=True)
+class ChunkCoupling:
+    """The coupling of every realization in a chunk, as arrays whose row r
+    is realization r.
+
+    `x_inc`/`x_val` are X's grids and `y_inc`/`y_val` the image's, shapes
+    (reps, N, T) and (reps, N, T+1).  `pairing[b-1][r, y]` is the X process
+    whose block-b increments Y's process y received (block 1 is the
+    identity).  `x_kept[j-1]`/`y_kept[j-1]` are the survivor masks after
+    stage j of the strategy on X and of greedy on Y.  `x_back_inc` and
+    `x_back_val` are X rebuilt from Y by the mirror walk, or None when the
+    inversion was not run.
+    """
+
+    x_inc: np.ndarray
+    x_val: np.ndarray
+    y_inc: np.ndarray
+    y_val: np.ndarray
+    pairing: tuple[np.ndarray, ...]
+    x_kept: tuple[np.ndarray, ...]
+    y_kept: tuple[np.ndarray, ...]
+    x_back_inc: np.ndarray | None
+    x_back_val: np.ndarray | None
+
+    @property
+    def alg_final(self) -> np.ndarray:
+        """Final value of the strategy's run on X, per row."""
+        return _final_of(self.x_val, self.x_kept[-1])
+
+    @property
+    def greedy_final(self) -> np.ndarray:
+        """Final value of greedy's run on Y, per row."""
+        return _final_of(self.y_val, self.y_kept[-1])
+
+
+def _final_of(values: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    winner = np.argmax(kept, axis=1)
+    return values[np.arange(values.shape[0]), winner, -1]
+
+
+def _first_block_copy(inc: np.ndarray, val: np.ndarray, t1: int):
+    """Grids shaped like (inc, val) that agree with them up to t_1; the
+    rest is written block by block by `_walk`."""
+    out_inc = np.empty_like(inc)
+    out_val = np.empty_like(val)
+    out_inc[:, :, :t1] = inc[:, :, :t1]
+    out_val[:, :, :t1 + 1] = val[:, :, :t1 + 1]
+    return out_inc, out_val
+
+
+def _walk(alg: Strategy, s: Schedule, xi, xv, yi, yv, fill: str | None,
+          stages: int | None = None):
+    """Run the strategy on X and greedy on Y stage by stage over a chunk.
+
+    Stage j sees only grids that end at t_j.  After it, survivors are
+    paired by equal rank at t_j and the cohorts eliminated at stage j are
+    paired by rank at t_j; those pairs stay frozen.  With fill="y" Y's
+    block j+1 is then taken from X's paired rows, with fill="x" the mirror
+    image; values are extended by a sequential cumsum from the value at
+    t_j, bit-identical to `_extend_values`.  fill=None only ranks, on grids
+    that already exist (the history-measurability recomputation), and
+    `stages` stops it early.  Returns (pairing, x_kept, y_kept).
+    """
+    reps, n = xi.shape[:2]
+    last = s.stages if stages is None else stages
+    spans = s.block_bounds()
+    src = np.tile(np.arange(n), (reps, 1))
+    pairing = [src]
+    x_kept: list[np.ndarray] = []
+    y_kept: list[np.ndarray] = []
+    x_alive = y_alive = np.ones((reps, n), dtype=bool)
+    for j in range(1, last + 1):
+        t = s.times[j - 1]
+        x_new = batched_stage(alg, s, j, xv[:, :, :t + 1], xi[:, :, :t], x_alive)
+        y_new = batched_stage(_GREEDY, s, j, yv[:, :, :t + 1], yi[:, :, :t], y_alive)
+        x_kept.append(x_new)
+        y_kept.append(y_new)
+        if j == s.stages:
+            break
+        src = src.copy()
+        cohorts = ((x_new, y_new, s.sizes[j - 1]),
+                   (x_alive & ~x_new, y_alive & ~y_new,
+                    (s.N if j == 1 else s.sizes[j - 2]) - s.sizes[j - 1]))
+        for x_mask, y_mask, size in cohorts:
+            xo = ranked_columns(xv[:, :, t], x_mask)[:, :size]
+            yo = ranked_columns(yv[:, :, t], y_mask)[:, :size]
+            np.put_along_axis(src, yo, xo, axis=1)
+        pairing.append(src)
+        x_alive, y_alive = x_new, y_new
+        lo, hi = spans[j]
+        if fill == "y":
+            yi[:, :, lo:hi] = np.take_along_axis(xi[:, :, lo:hi], src[:, :, None], axis=1)
+            _extend_value_grid(yv, yi, lo, hi)
+        elif fill == "x":
+            np.put_along_axis(xi[:, :, lo:hi], src[:, :, None], yi[:, :, lo:hi], axis=1)
+            _extend_value_grid(xv, xi, lo, hi)
+    return tuple(pairing), tuple(x_kept), tuple(y_kept)
+
+
+def _extend_value_grid(val: np.ndarray, inc: np.ndarray, lo: int, hi: int) -> None:
+    val[:, :, lo + 1:hi + 1] = inc[:, :, lo:hi]
+    np.cumsum(val[:, :, lo:hi + 1], axis=2, out=val[:, :, lo:hi + 1])
+
+
+def couple_chunk(inc: np.ndarray, s: Schedule, alg: Strategy,
+                 invert: bool = True) -> ChunkCoupling:
+    """Build the coupling for every row of an increment chunk (reps, N, T)
+    at once, and with `invert` the mirror walk that rebuilds X from Y.
+
+    The strategy needs a batched rule (`has_batched_rule`).  A test pins
+    every field to `build_alignment`/`invert_alignment` row by row.
+    """
+    _require_deterministic(alg)
+    if inc.shape[1:] != (s.N, s.T):
+        raise DimensionMismatch(
+            f"chunk rows are {inc.shape[1]}x{inc.shape[2]}, schedule wants {s.N}x{s.T}"
+        )
+    xv = value_grid(inc)
+    t1 = s.times[0]
+    yi, yv = _first_block_copy(inc, xv, t1)
+    pairing, x_kept, y_kept = _walk(alg, s, inc, xv, yi, yv, fill="y")
+    back_i = back_v = None
+    if invert:
+        back_i, back_v = _first_block_copy(yi, yv, t1)
+        _walk(alg, s, back_i, back_v, yi, yv, fill="x")
+    return ChunkCoupling(
+        x_inc=inc, x_val=xv, y_inc=yi, y_val=yv, pairing=pairing,
+        x_kept=x_kept, y_kept=y_kept, x_back_inc=back_i, x_back_val=back_v,
+    )
+
+
+def audit_chunk(c: ChunkCoupling, s: Schedule, alg: Strategy,
+                checks: tuple[str, ...] = ALL_CHECKS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row verdicts on a chunk coupling: boolean (reps,) arrays marking
+    the rows that fail dominance, permutation and inversion (all False for
+    a check not selected).  The same three verdicts as the scalar audit:
+
+    * dominance: the identity pairs at t_1, the survivor pairs at each
+      later t_j, and strategy final on X <= greedy final on Y;
+    * permutation: each block's pairing is a bijection, Y's block rows
+      equal X's paired rows, and the pairing is recomputed from both grids
+      cut at the block's left endpoint;
+    * inversion: the mirror walk rebuilt X's increments and values exactly.
+    """
+    reps, n = c.x_inc.shape[:2]
+    ids = np.arange(n)
+    spans = s.block_bounds()
+    dom_bad = np.zeros(reps, dtype=bool)
+    perm_bad = np.zeros(reps, dtype=bool)
+    inv_bad = np.zeros(reps, dtype=bool)
+    for b in range(1, s.stages + 1):
+        src = c.pairing[b - 1]
+        idx = np.clip(src, 0, n - 1)
+        if "dominance" in checks:
+            t = s.times[b - 1]
+            ok = c.y_val[:, :, t] >= np.take_along_axis(c.x_val[:, :, t], idx, axis=1)
+            if b > 1:
+                ok |= ~c.y_kept[b - 2]  # frozen pairs carry no inequality
+            dom_bad |= ~ok.all(axis=1)
+        if "permutation" in checks:
+            lo, hi = spans[b - 1]
+            bijective = (np.sort(src, axis=1) == ids).all(axis=1)
+            rows = np.take_along_axis(c.x_inc[:, :, lo:hi], idx[:, :, None], axis=1)
+            rows_match = (c.y_inc[:, :, lo:hi] == rows).all(axis=(1, 2))
+            if b == 1:
+                recomputed = ids
+            else:
+                cut = s.times[b - 2]
+                recomputed = _walk(
+                    alg, s, c.x_inc[:, :, :cut], c.x_val[:, :, :cut + 1],
+                    c.y_inc[:, :, :cut], c.y_val[:, :, :cut + 1],
+                    fill=None, stages=b - 1,
+                )[0][-1]
+            measurable = (recomputed == src).all(axis=1)
+            perm_bad |= ~(bijective & rows_match & measurable)
+    if "dominance" in checks:
+        dom_bad |= ~(c.alg_final <= c.greedy_final)
+    if "inversion" in checks:
+        inv_bad = ~((c.x_back_inc == c.x_inc).all(axis=(1, 2))
+                    & (c.x_back_val == c.x_val).all(axis=(1, 2)))
+    return dom_bad, perm_bad, inv_bad
+
+
+def headline_violations(inc: np.ndarray, s: Schedule, alg: Strategy) -> int:
+    """Rows of an increment chunk where the strategy's final value on X
+    exceeds greedy's on the image Y (expect zero)."""
+    if has_batched_rule(alg):
+        c = couple_chunk(inc, s, alg, invert=False)
+        return int(np.count_nonzero(~(c.alg_final <= c.greedy_final)))
+    bad = 0
+    for r in range(inc.shape[0]):
+        x = PathEnsemble.from_increment_rows(inc[r].tolist(), model_tag="mc")
+        if not build_alignment(x, s, alg).headline_ok:
+            bad += 1
+    return bad
+
+
+# ---------------------------------------------------------------------------
 # whole-space / sampled verification sweeps
 # ---------------------------------------------------------------------------
 
@@ -500,36 +712,27 @@ def verify_exhaustive(model, s: Schedule, alg: Strategy,
     )
 
 
-ALL_CHECKS = ("dominance", "permutation", "inversion")
-
-
 def verify_mc(model: Model, s: Schedule, alg: Strategy, reps: int,
               seed: int, checks: tuple[str, ...] = ALL_CHECKS) -> VerifyResult:
     """Audit the coupling over sampled realizations.
 
     `checks` selects the layers to run per realization: "dominance"
-    (pairwise and headline inequalities) is cheap, "permutation" (block
-    structure with the history-measurability recomputation) and
-    "inversion" (full round trip) roughly triple the cost.  The
-    measure-theoretic checks need an enumerable space and are reported as
-    vacuously true here.
+    (pairwise and headline inequalities), "permutation" (block structure
+    with the history-measurability recomputation) and "inversion" (full
+    round trip).  Strategies with a batched rule are coupled and audited a
+    whole chunk at a time (`couple_chunk`, `audit_chunk`); others take the
+    per-realization walk.  The measure-theoretic checks need an enumerable
+    space and are reported as vacuously true here.
     """
+    audit = _audit_chunk if has_batched_rule(alg) else _audit_rows
     dom_bad = perm_bad = inv_bad = 0
     count = 0
     for _, inc in sample_replications(model, s.N, s.T, reps, seed):
-        for r in range(inc.shape[0]):
-            x = PathEnsemble.from_increment_rows(inc[r].tolist(), model_tag="mc")
-            w = build_alignment(x, s, alg)
-            if "dominance" in checks:
-                if not w.headline_ok or not all(e.ok for e in w.dominance):
-                    dom_bad += 1
-            if "permutation" in checks:
-                if not check_block_permutation(w, s, alg=alg).ok:
-                    perm_bad += 1
-            if "inversion" in checks:
-                if invert_alignment(w.y, s, alg) != x:
-                    inv_bad += 1
-            count += 1
+        d, p, i = audit(inc, s, alg, checks)
+        dom_bad += d
+        perm_bad += p
+        inv_bad += i
+        count += inc.shape[0]
     return VerifyResult(
         mode="mc",
         strategy=alg.describe(),
@@ -541,6 +744,32 @@ def verify_mc(model: Model, s: Schedule, alg: Strategy, reps: int,
         pushforward_ok=True,
         coupling_expectation_equal=True,
     )
+
+
+def _audit_chunk(inc: np.ndarray, s: Schedule, alg: Strategy,
+                 checks: tuple[str, ...]) -> tuple[int, int, int]:
+    c = couple_chunk(inc, s, alg, invert="inversion" in checks)
+    return tuple(int(np.count_nonzero(bad)) for bad in audit_chunk(c, s, alg, checks))
+
+
+def _audit_rows(inc: np.ndarray, s: Schedule, alg: Strategy,
+                checks: tuple[str, ...]) -> tuple[int, int, int]:
+    """Violation counts (dominance, permutation, inversion) of a chunk,
+    one realization at a time through the scalar witness."""
+    dom_bad = perm_bad = inv_bad = 0
+    for r in range(inc.shape[0]):
+        x = PathEnsemble.from_increment_rows(inc[r].tolist(), model_tag="mc")
+        w = build_alignment(x, s, alg)
+        if "dominance" in checks:
+            if not w.headline_ok or not all(e.ok for e in w.dominance):
+                dom_bad += 1
+        if "permutation" in checks:
+            if not check_block_permutation(w, s, alg=alg).ok:
+                perm_bad += 1
+        if "inversion" in checks:
+            if invert_alignment(w.y, s, alg) != x:
+                inv_bad += 1
+    return dom_bad, perm_bad, inv_bad
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from . import alignment, experiments, oracle
 from .core_model import (
     DriftModel,
     ENUMERATION_CAP,
+    _check_keys,
     model_from_config,
     model_to_config,
     sample_ensemble,
@@ -70,15 +71,6 @@ def _load_config(path: str) -> dict:
     return obj
 
 
-def _check_keys(obj: dict, allowed: set[str], required: set[str], path: str = "config") -> None:
-    for key in obj:
-        if key not in allowed:
-            raise ConfigInvalid(f"{path}.{key}: unknown key")
-    for key in required:
-        if key not in obj:
-            raise ConfigInvalid(f"{path}.{key}: missing required key")
-
-
 def _parse_strategies(obj, path: str = "config.strategies"):
     if not isinstance(obj, list) or not obj:
         raise ConfigInvalid(f"{path}: expected a nonempty list")
@@ -90,11 +82,27 @@ def _parse_strategies(obj, path: str = "config.strategies"):
     return out
 
 
-def _positive_int(obj: dict, key: str, path: str = "config") -> int:
+def _positive_int(obj: dict, key: str, path: str = "config", minimum: int = 0) -> int:
     v = obj[key]
-    if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-        raise ConfigInvalid(f"{path}.{key}: expected a non-negative integer")
+    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
+        raise ConfigInvalid(f"{path}.{key}: expected an integer >= {minimum}")
     return v
+
+
+def _setting(override: int | None, cfg: dict, key: str, minimum: int = 0,
+             default: int | None = None) -> int:
+    """An integer setting: the command-line override when given, else the
+    config value (checked by `_positive_int`), else `default`; without a
+    default the key is required."""
+    if override is not None:
+        if override < minimum:
+            raise ConfigInvalid(f"--{key}: expected an integer >= {minimum}")
+        return override
+    if key in cfg:
+        return _positive_int(cfg, key, minimum=minimum)
+    if default is None:
+        raise ConfigInvalid(f"config.{key}: missing required key")
+    return default
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -141,7 +149,7 @@ def _threads(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = _load_config(args.config)
-    _check_keys(cfg, {"model", "schedule"}, {"schedule"})
+    _check_keys(cfg, {"model", "schedule"}, {"schedule"}, path="config")
     schedule = schedule_from_config(cfg["schedule"])
     doc = {"schedule": schedule_to_config(schedule), "ok": True}
     if "model" in cfg:
@@ -153,14 +161,12 @@ def cmd_validate(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     _check_keys(cfg, {"model", "schedule", "strategy", "seed", "reps"},
-                {"model", "schedule", "strategy", "seed"})
+                {"model", "schedule", "strategy", "seed"}, path="config")
     model = model_from_config(cfg["model"])
     schedule = schedule_from_config(cfg["schedule"])
     strategy = strategy_from_config(cfg["strategy"])
-    seed = args.seed if args.seed is not None else _positive_int(cfg, "seed")
-    reps = args.reps if args.reps is not None else cfg.get("reps", 1)
-    if not isinstance(reps, int) or reps < 1:
-        raise ConfigInvalid("config.reps: expected a positive integer")
+    seed = _setting(args.seed, cfg, "seed")
+    reps = _setting(args.reps, cfg, "reps", minimum=1, default=1)
 
     rows = []
     summaries = []
@@ -202,7 +208,7 @@ def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     _check_keys(cfg, {"model", "schedule", "strategy", "strategies", "mode",
                       "reps", "seed", "cap"},
-                {"model", "schedule", "mode"})
+                {"model", "schedule", "mode"}, path="config")
     model = model_from_config(cfg["model"])
     schedule = schedule_from_config(cfg["schedule"])
     mode = cfg["mode"]
@@ -221,12 +227,8 @@ def cmd_verify(args) -> int:
         if mode == "exhaustive":
             res = alignment.verify_exhaustive(model, schedule, strat, cap=cap)
         else:
-            reps = args.reps if args.reps is not None else cfg.get("reps")
-            seed = args.seed if args.seed is not None else cfg.get("seed")
-            if not isinstance(reps, int) or reps < 1:
-                raise ConfigInvalid("config.reps: required for mc mode")
-            if not isinstance(seed, int):
-                raise ConfigInvalid("config.seed: required for mc mode")
+            reps = _setting(args.reps, cfg, "reps", minimum=1)
+            seed = _setting(args.seed, cfg, "seed")
             res = alignment.verify_mc(model, schedule, strat, reps, seed)
         results.append(res)
 
@@ -239,14 +241,15 @@ def cmd_oracle(args) -> int:
     cfg = _load_config(args.config)
     _check_keys(cfg, {"model", "schedule", "strategies", "aux_seed", "cap",
                       "search", "decision_table_out"},
-                {"model", "schedule"})
+                {"model", "schedule"}, path="config")
     model = model_from_config(cfg["model"])
     schedule = schedule_from_config(cfg["schedule"])
     cap = _positive_int(cfg, "cap") if "cap" in cfg else ENUMERATION_CAP
     if "strategies" in cfg:
         strategies = _parse_strategies(cfg["strategies"])
     else:
-        strategies = full_catalog(aux_seed=cfg.get("aux_seed", 2024))
+        aux_seed = _positive_int(cfg, "aux_seed") if "aux_seed" in cfg else 2024
+        strategies = full_catalog(aux_seed=aux_seed)
 
     values = oracle.exact_expected_values(model, schedule, strategies, cap=cap)
     optimum, table = oracle.dp_optimal_value(model, schedule, cap=cap)
@@ -303,12 +306,12 @@ def cmd_lemma(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _load_config(args.config)
     _check_keys(cfg, {"model", "schedule", "strategies", "reps", "seed", "coupled"},
-                {"model", "schedule", "strategies", "reps", "seed"})
+                {"model", "schedule", "strategies", "reps", "seed"}, path="config")
     model = model_from_config(cfg["model"])
     schedule = schedule_from_config(cfg["schedule"])
     strategies = _parse_strategies(cfg["strategies"])
-    reps = args.reps if args.reps is not None else _positive_int(cfg, "reps")
-    seed = args.seed if args.seed is not None else _positive_int(cfg, "seed")
+    reps = _setting(args.reps, cfg, "reps")
+    seed = _setting(args.seed, cfg, "seed")
     table = experiments.compare_strategies(
         model, schedule, strategies, reps, seed,
         threads=_threads(args), coupled=bool(cfg.get("coupled", False)),
@@ -322,15 +325,15 @@ def cmd_compare(args) -> int:
 
 def cmd_drift(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
-    _check_keys(cfg, {"model", "schedule", "reps", "seed"}, set())
+    _check_keys(cfg, {"model", "schedule", "reps", "seed"}, set(), path="config")
     default_model, default_schedule = experiments.default_drift_experiment()
     model = model_from_config(cfg["model"]) if "model" in cfg else default_model
     if not isinstance(model, DriftModel):
         raise ConfigInvalid("config.model: drift experiment needs kind 'drift'")
     schedule = (schedule_from_config(cfg["schedule"])
                 if "schedule" in cfg else default_schedule)
-    reps = args.reps if args.reps is not None else cfg.get("reps", 100_000)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 7)
+    reps = _setting(args.reps, cfg, "reps", default=100_000)
+    seed = _setting(args.seed, cfg, "seed", default=7)
     report = experiments.dependent_model_experiment(
         model, schedule, reps, seed, threads=_threads(args)
     )

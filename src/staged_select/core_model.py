@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -63,6 +64,13 @@ def _format_rational(q: Fraction) -> str | int:
 # increment models
 # ---------------------------------------------------------------------------
 
+def _require_finite(kind: str, *params) -> None:
+    # NaN and infinite parameters (JSON accepts both) would sample NaN
+    # paths, which every comparison-based check then reports as a violation
+    if any(isinstance(p, float) and not math.isfinite(p) for p in params):
+        raise ConfigInvalid(f"{kind} model parameters must be finite")
+
+
 @dataclass(frozen=True)
 class Discrete:
     """Finite-support step distribution with exact rational probabilities."""
@@ -100,6 +108,7 @@ class Gaussian:
     independent_increments = True
 
     def __post_init__(self):
+        _require_finite("gaussian", self.mean, self.stddev)
         if self.stddev < 0:
             raise ConfigInvalid("gaussian stddev must be >= 0")
 
@@ -116,6 +125,7 @@ class Uniform:
     independent_increments = True
 
     def __post_init__(self):
+        _require_finite("uniform", self.lo, self.hi)
         if not self.lo < self.hi:
             raise ConfigInvalid("uniform requires lo < hi")
 
@@ -133,6 +143,7 @@ class Rademacher:
     independent_increments = True
 
     def __post_init__(self):
+        _require_finite("rademacher", self.scale)
         if not self.scale > 0:
             raise ConfigInvalid("rademacher scale must be > 0")
 
@@ -340,9 +351,6 @@ class PathEnsemble:
         inc = [[r[t] - r[t - 1] for t in range(1, len(r))] for r in rows]
         return PathEnsemble.from_increment_rows(inc, seed=seed, model_tag=model_tag)
 
-    def to_array(self) -> np.ndarray:
-        return np.array([[float(v) for v in row] for row in self.values], dtype=np.float64)
-
     def key(self) -> tuple:
         """Hashable identity of the value grid (used for atom lookups)."""
         return self.values
@@ -491,6 +499,15 @@ def sample_chunk(model: Model, N: int, T: int, seed: int, chunk_index: int,
     return _draw_step_array(model, (chunk, N, T), rng)
 
 
+def value_grid(inc: np.ndarray) -> np.ndarray:
+    """Value grids of an increment chunk, shape (reps, N, T+1): the zero
+    start column, then running sums.  `np.cumsum` adds strictly left to
+    right, so every entry equals the `PathEnsemble` value bit for bit."""
+    out = np.zeros(inc.shape[:2] + (inc.shape[2] + 1,))
+    np.cumsum(inc, axis=2, out=out[:, :, 1:])
+    return out
+
+
 def sample_replications(model: Model, N: int, T: int, reps: int, seed: int,
                         chunk: int = REPLICATION_CHUNK):
     """Yield (start_index, increments) blocks covering `reps` replications."""
@@ -586,7 +603,7 @@ def model_from_config(obj: dict, path: str = "model") -> Model:
             if isinstance(base, DriftModel):
                 raise ConfigInvalid(f"{path}.base: cannot nest drift models")
             return drift_model(base, obj["drift_support"], obj["drift_probs"])
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise ConfigInvalid(f"{path}: {exc}") from exc
     raise ConfigInvalid(f"{path}.kind: unknown model kind {kind!r}")
 

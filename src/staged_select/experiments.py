@@ -10,9 +10,11 @@ Comparisons use common random numbers: every strategy is evaluated on the
 same sampled ensembles, and differences are reported as paired statistics
 against greedy.
 
-The catalog strategies have vectorized scoring rules used by a batched
-engine; anything else falls back to the per-realization engine.  A test
-pins the two engines to bit-identical outputs on the catalog.
+Strategies with a batched rule (`selection_engine.batched_stage`, the
+whole catalog) run through one stage loop per chunk, which yields both the
+final values and the per-stage survivor means; anything else falls back to
+the per-realization engine.  A test pins the two engines to bit-identical
+outputs on the catalog.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import build_alignment
+from .alignment import headline_violations
 from .core_model import (
     DriftModel,
     Model,
@@ -35,13 +37,15 @@ from .core_model import (
     rademacher,
     sample_chunk,
     validate_schedule,
+    value_grid,
 )
 from .errors import ConfigInvalid, InvalidReps
 from .selection_engine import (
     Strategy,
-    _priority_table,
     baseline_strategies,
+    batched_stage,
     greedy_strategy,
+    has_batched_rule,
     run_selection,
 )
 
@@ -50,78 +54,22 @@ from .selection_engine import (
 # batched selection engine
 # ---------------------------------------------------------------------------
 
-_BATCHABLE = {"greedy", "anti_greedy", "random_fixed", "lagged_greedy", "drift_aware"}
-
-
-def _top_mask(scores: np.ndarray, alive: np.ndarray, n: int) -> np.ndarray:
-    """Keep-mask of the n best alive entries per row; ties go to the smaller
-    id via the stable sort, matching the package-wide rank rule."""
-    keyed = np.where(alive, -scores, np.inf)
-    order = np.argsort(keyed, axis=1, kind="stable")
-    out = np.zeros_like(alive)
-    np.put_along_axis(out, order[:, :n], True, axis=1)
-    return out
-
-
-def _stage_scores(name: str, alg: Strategy, s: Schedule, j: int,
-                  values: np.ndarray, increments: np.ndarray) -> np.ndarray:
-    t_j = s.times[j - 1]
-    v = values[:, :, t_j]
-    if name in ("greedy", "anti_greedy"):
-        return v
-    if name == "lagged_greedy":
-        return values[:, :, s.previous_time(j)]
-    if name == "random_fixed":
-        table = _priority_table(alg.aux_seed, s.stages, s.N)
-        row = np.array(table[j - 1])
-        return np.broadcast_to(row, v.shape)
-    if name == "drift_aware":
-        remaining = s.T - t_j
-        if remaining == 0:
-            return v
-        part = increments[:, :, :t_j]
-        est = (part.min(axis=2) + part.max(axis=2)) / 2
-        return v + remaining * est
-    raise KeyError(name)
-
-
-def _final_values_batch(values: np.ndarray, increments: np.ndarray,
-                        s: Schedule, alg: Strategy) -> np.ndarray:
+def _stage_loop(values: np.ndarray, increments: np.ndarray, s: Schedule,
+                alg: Strategy) -> tuple[np.ndarray, list[float]]:
+    """One run of a batched strategy over a chunk: the final selected value
+    per replication, and per stage the mean (over replications and
+    survivors) of the survivors' values at t_j, for value-vs-stage traces."""
     reps = values.shape[0]
     alive = np.ones((reps, s.N), dtype=bool)
+    means = []
     for j in range(1, s.stages + 1):
-        n_j = s.sizes[j - 1]
-        scores = _stage_scores(alg.name, alg, s, j, values, increments)
-        if alg.name == "anti_greedy" and j < s.stages:
-            # keep the worst-ranked survivors: complement of the best
-            n_alive = s.N if j == 1 else s.sizes[j - 2]
-            top = _top_mask(scores, alive, n_alive - n_j)
-            alive = alive & ~top
-        else:
-            alive = _top_mask(scores, alive, n_j)
+        t_j = s.times[j - 1]
+        alive = batched_stage(alg, s, j, values[:, :, :t_j + 1],
+                              increments[:, :, :t_j], alive)
+        v = values[:, :, t_j]
+        means.append(float(np.sum(np.where(alive, v, 0.0)) / (reps * s.sizes[j - 1])))
     winner = np.argmax(alive, axis=1)
-    return values[np.arange(reps), winner, s.T]
-
-
-def _survivor_value_means(values: np.ndarray, increments: np.ndarray,
-                          s: Schedule, alg: Strategy) -> list[float]:
-    """Per-stage mean (over reps and survivors) of the selected values;
-    plot-ready summary for value-vs-stage traces."""
-    reps = values.shape[0]
-    alive = np.ones((reps, s.N), dtype=bool)
-    out = []
-    for j in range(1, s.stages + 1):
-        n_j = s.sizes[j - 1]
-        scores = _stage_scores(alg.name, alg, s, j, values, increments)
-        if alg.name == "anti_greedy" and j < s.stages:
-            n_alive = s.N if j == 1 else s.sizes[j - 2]
-            top = _top_mask(scores, alive, n_alive - n_j)
-            alive = alive & ~top
-        else:
-            alive = _top_mask(scores, alive, n_j)
-        v = values[:, :, s.times[j - 1]]
-        out.append(float(np.sum(np.where(alive, v, 0.0)) / (reps * n_j)))
-    return out
+    return values[np.arange(reps), winner, s.T], means
 
 
 def _final_values_loop(inc: np.ndarray, s: Schedule, alg: Strategy) -> np.ndarray:
@@ -134,11 +82,8 @@ def _final_values_loop(inc: np.ndarray, s: Schedule, alg: Strategy) -> np.ndarra
 
 def final_values_for_chunk(inc: np.ndarray, s: Schedule, alg: Strategy) -> np.ndarray:
     """Final selected value per replication of one increment chunk."""
-    if alg.name in _BATCHABLE:
-        values = np.concatenate(
-            [np.zeros((inc.shape[0], s.N, 1)), np.cumsum(inc, axis=2)], axis=2
-        )
-        return _final_values_batch(values, inc, s, alg)
+    if has_batched_rule(alg):
+        return _stage_loop(value_grid(inc), inc, s, alg)[0]
     return _final_values_loop(inc, s, alg)
 
 
@@ -286,8 +231,9 @@ def compare_strategies(model: Model, s: Schedule, catalog: list[Strategy],
     (strategy minus greedy, so a negative difference means greedy did
     better).  With `coupled=True` each replication additionally runs the
     alignment coupling per strategy and counts pathwise violations of
-    strategy-on-X exceeding greedy-on-image; expect zero, and expect this
-    mode to be much slower.
+    strategy-on-X exceeding greedy-on-image; expect zero.  Strategies with
+    a batched rule are coupled a whole chunk at a time; others take the
+    much slower per-realization walk.
     """
     if not catalog:
         raise ConfigInvalid("compare needs a nonempty strategy catalog")
@@ -302,21 +248,16 @@ def compare_strategies(model: Model, s: Schedule, catalog: list[Strategy],
         c, take = spec
         inc = sample_chunk(model, s.N, s.T, seed, c)[:take]
         digest = hashlib.sha256(inc.tobytes()).hexdigest()
-        finals = [final_values_for_chunk(inc, s, a) for a in algs]
-        stage_means = [
-            _survivor_value_means(np.concatenate(
-                [np.zeros((take, s.N, 1)), np.cumsum(inc, axis=2)], axis=2), inc, s, a)
-            if a.name in _BATCHABLE else [math.nan] * s.stages
-            for a in algs
-        ]
-        coupled_bad = [0] * len(algs)
-        if coupled:
-            for r in range(take):
-                x = PathEnsemble.from_increment_rows(inc[r].tolist(), model_tag="mc")
-                for ai, a in enumerate(algs):
-                    w = build_alignment(x, s, a)
-                    if not w.headline_ok:
-                        coupled_bad[ai] += 1
+        values = value_grid(inc)
+        finals, stage_means = [], []
+        for a in algs:
+            if has_batched_rule(a):
+                f, means = _stage_loop(values, inc, s, a)
+            else:
+                f, means = _final_values_loop(inc, s, a), [math.nan] * s.stages
+            finals.append(f)
+            stage_means.append(means)
+        coupled_bad = [headline_violations(inc, s, a) if coupled else 0 for a in algs]
         stats = []
         for ai in range(len(algs)):
             f = finals[ai]

@@ -40,6 +40,17 @@ def ranked_ids(ids: Sequence[int], value_of: Callable[[int], Number]) -> list[in
     return sorted(sorted(ids), key=value_of, reverse=True)
 
 
+def ranked_columns(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Batched `ranked_ids`: per row, the column ids best-first by score,
+    ties to the smaller id, masked-out columns last.
+
+    The stable argsort of the negated scores keeps equal scores in
+    ascending id order.  Masked entries are keyed NaN, which sorts after
+    every number, infinities included.
+    """
+    return np.argsort(np.where(mask, -scores, np.nan), axis=1, kind="stable")
+
+
 def rank_desc(values: Sequence[Number]) -> list[int]:
     """Rank positions of a value list, 1 = largest, ties to the earlier entry.
 
@@ -223,6 +234,79 @@ def full_catalog(aux_seed: int = 2024) -> list[Strategy]:
     return [greedy_strategy(), *baseline_strategies(aux_seed).values()]
 
 
+# ---------------------------------------------------------------------------
+# batched stage rule
+# ---------------------------------------------------------------------------
+
+def _current_values(alg, s, j, values, increments):
+    return values[:, :, s.times[j - 1]]
+
+
+def _lagged_values(alg, s, j, values, increments):
+    return values[:, :, s.previous_time(j)]
+
+
+def _priority_scores(alg, s, j, values, increments):
+    row = np.array(_priority_table(alg.aux_seed, s.stages, s.N)[j - 1])
+    return np.broadcast_to(row, values.shape[:2])
+
+
+def _drift_aware_scores(alg, s, j, values, increments):
+    t_j = s.times[j - 1]
+    v = values[:, :, t_j]
+    remaining = s.T - t_j
+    if remaining == 0:
+        return v
+    # column by column: a numpy min/max over a short last axis is ~5x slower
+    lo = hi = increments[:, :, 0]
+    for c in range(1, t_j):
+        lo = np.minimum(lo, increments[:, :, c])
+        hi = np.maximum(hi, increments[:, :, c])
+    return v + remaining * ((lo + hi) / 2)
+
+
+# the catalog choosers as array rules over a (reps, N, time) chunk; each
+# score matches the scalar chooser's ranking key bit for bit
+_BATCHED_SCORES = {
+    "greedy": _current_values,
+    "anti_greedy": _current_values,
+    "lagged_greedy": _lagged_values,
+    "random_fixed": _priority_scores,
+    "drift_aware": _drift_aware_scores,
+}
+
+
+def has_batched_rule(alg: Strategy) -> bool:
+    """Whether `batched_stage` can run this strategy on whole chunks."""
+    return alg.name in _BATCHED_SCORES
+
+
+def batched_stage(alg: Strategy, s: Schedule, j: int, values: np.ndarray,
+                  increments: np.ndarray, alive: np.ndarray) -> np.ndarray:
+    """Stage j of the strategy on every row of a chunk at once.
+
+    `values` (reps, N, >= t_j + 1) and `increments` (reps, N, >= t_j) are
+    the grids, `alive` (reps, N) the candidate mask; returns the survivor
+    mask.  Callers pass grids that end at t_j, so the rule cannot read the
+    future.  Only strategies with `has_batched_rule` are accepted; rows
+    are ranked with the package tie rule via `ranked_columns`.
+    """
+    if not has_batched_rule(alg):
+        raise KeyError(f"{alg.name} has no batched rule")
+    scores = _BATCHED_SCORES[alg.name](alg, s, j, values, increments)
+    order = ranked_columns(scores, alive)
+    n_j = s.sizes[j - 1]
+    if alg.name == "anti_greedy" and j < s.stages:
+        # keep the worst-ranked n_j of the alive candidates
+        n_alive = s.N if j == 1 else s.sizes[j - 2]
+        keep = order[:, n_alive - n_j:n_alive]
+    else:
+        keep = order[:, :n_j]
+    out = np.zeros_like(alive)
+    np.put_along_axis(out, keep, True, axis=1)
+    return out
+
+
 def strategy_from_config(obj: dict, path: str = "strategy") -> Strategy:
     if not isinstance(obj, dict) or "name" not in obj:
         raise ConfigInvalid(f"{path}.name: missing required key")
@@ -233,7 +317,10 @@ def strategy_from_config(obj: dict, path: str = "strategy") -> Strategy:
     if name == "random_fixed":
         if "aux_seed" not in obj:
             raise ConfigInvalid(f"{path}.aux_seed: missing required key for random_fixed")
-        return random_fixed_strategy(int(obj["aux_seed"]))
+        aux_seed = obj["aux_seed"]
+        if not isinstance(aux_seed, int) or isinstance(aux_seed, bool) or aux_seed < 0:
+            raise ConfigInvalid(f"{path}.aux_seed: expected an integer >= 0")
+        return random_fixed_strategy(aux_seed)
     if "aux_seed" in obj:
         raise ConfigInvalid(f"{path}.aux_seed: only valid for random_fixed")
     if name == "greedy":
@@ -268,9 +355,6 @@ class SelectionTrace:
 
     def survivor_sets(self) -> list[tuple[int, ...]]:
         return [rec.survivors for rec in self.stages]
-
-    def index_map(self, stage: int) -> dict[int, int]:
-        return dict(self.stages[stage - 1].indices)
 
 
 def assign_temporal_indices(

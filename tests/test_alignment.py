@@ -2,6 +2,7 @@
 measure preservation, and inversion."""
 
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import staged_select as ss
+from staged_select.alignment import ALL_CHECKS, _audit_rows, audit_chunk, couple_chunk
 from staged_select.errors import NonDeterministicStrategy
 
 SCHEDULE_A = ss.validate_schedule([1, 2], [2, 1], N=3, T=2)
@@ -205,3 +207,166 @@ def test_witness_csv_rows():
     assert all(len(r) == 7 for r in rows)
     assert any(r[1] == "survivor/1" for r in rows)
     assert all(r[6] == 1 for r in rows)
+
+
+# --- batched coupling ----------------------------------------------------------
+SCHEDULE_G = ss.validate_schedule([2, 4, 8], [8, 4, 1], N=16, T=8)
+SCHEDULE_U = ss.validate_schedule([1, 3, 5], [4, 2, 1], N=6, T=5)
+
+# the acceptance gate's discrete certification instances
+INSTANCES = [
+    ("A", MODEL_A, SCHEDULE_A),
+    ("B", ss.discrete([1, -1], ["2/3", "1/3"]), ss.validate_schedule([1, 2], [2, 1], N=4, T=2)),
+    ("C", ss.discrete([1, 0, -1], ["1/3", "1/3", "1/3"]), ss.validate_schedule([1, 2], [2, 1], N=3, T=2)),
+    ("D", ss.rademacher(1), ss.validate_schedule([1, 2, 3], [3, 2, 1], N=4, T=3)),
+    ("E", ss.discrete([2, -1, 0], ["1/6", "1/3", "1/2"]), ss.validate_schedule([1, 2], [3, 1], N=4, T=2)),
+    ("F", ss.discrete([1, -1], ["1/2", "1/2"]), ss.validate_schedule([2, 3], [2, 1], N=3, T=3)),
+]
+
+
+def _as_rows(grid):
+    return tuple(tuple(float(v) for v in row) for row in grid)
+
+
+def assert_chunk_matches_scalar(inc, s, strat, invert=True):
+    """Every field of the batched coupling equals the scalar witness (and
+    the scalar inversion) of the same row, bit for bit."""
+    c = couple_chunk(inc, s, strat)
+    for r in range(inc.shape[0]):
+        x = ss.PathEnsemble.from_increment_rows(inc[r].tolist())
+        w = ss.build_alignment(x, s, strat)
+        assert _as_rows(c.y_inc[r]) == _as_rows(w.y.increments), (strat.name, r)
+        assert _as_rows(c.y_val[r]) == _as_rows(w.y.values), (strat.name, r)
+        for b in range(1, s.stages + 1):
+            got = {y: int(c.pairing[b - 1][r, y]) for y in range(s.N)}
+            assert got == w.pairing.permutation(b), (strat.name, r, b)
+        assert tuple(tuple(np.flatnonzero(m[r]).tolist()) for m in c.x_kept) == w.x_survivors
+        assert tuple(tuple(np.flatnonzero(m[r]).tolist()) for m in c.y_kept) == w.y_survivors
+        assert c.alg_final[r] == w.alg_final and c.greedy_final[r] == w.greedy_final
+        back = ss.invert_alignment(w.y, s, strat) if invert else x
+        assert _as_rows(c.x_back_inc[r]) == _as_rows(back.increments), (strat.name, r)
+        assert _as_rows(c.x_back_val[r]) == _as_rows(back.values), (strat.name, r)
+    dom, perm, inv = audit_chunk(c, s, strat)
+    assert not dom.any() and not perm.any() and not inv.any(), strat.name
+
+
+@pytest.mark.parametrize("model,s", [
+    (ss.gaussian(0, 1), SCHEDULE_G),
+    (ss.uniform(-1, 2), SCHEDULE_U),
+])
+def test_batched_coupling_matches_scalar_on_sampled_chunks(model, s):
+    inc = ss.sample_chunk(model, s.N, s.T, seed=41, chunk_index=0)[:200]
+    for strat in ss.full_catalog():
+        assert_chunk_matches_scalar(inc, s, strat)
+
+
+@pytest.mark.parametrize("name,model,s", INSTANCES, ids=[i[0] for i in INSTANCES])
+def test_batched_coupling_matches_scalar_on_every_atom(name, model, s):
+    # float casts of every atom: integer-valued paths, ties everywhere.
+    # The scalar inversion of an atom is the atom itself (criterion 5 checks
+    # it exhaustively), so the rebuilt X is compared with the atom directly.
+    atoms = ss.enumerate_paths(model, s.N, s.T)
+    inc = np.array([[[float(v) for v in row] for row in x.increments] for x, _ in atoms])
+    for strat in ss.full_catalog():
+        assert_chunk_matches_scalar(inc, s, strat, invert=False)
+
+
+def test_batched_verify_mc_equals_scalar_loop():
+    s = SCHEDULE_U
+    model = ss.gaussian(0.5, 2)
+    for strat in ss.full_catalog():
+        res = ss.verify_mc(model, s, strat, reps=300, seed=8)
+        counts = [0, 0, 0]
+        for _, inc in ss.sample_replications(model, s.N, s.T, 300, 8):
+            counts = [a + b for a, b in zip(counts, _audit_rows(inc, s, strat, ALL_CHECKS))]
+        assert res.cases == 300
+        assert (res.dominance_violations, res.permutation_violations,
+                res.inversion_failures) == tuple(counts) == (0, 0, 0)
+
+
+def test_verify_mc_falls_back_for_strategies_without_batched_rule():
+    worst = ss.Strategy(
+        name="keep_worst",
+        chooser=lambda v, n: sorted(v.survivors,
+                                    key=lambda i: (v.value_at(i, v.time), i))[:n],
+    )
+    res = ss.verify_mc(ss.gaussian(0, 1), SCHEDULE_U, worst, reps=40, seed=3)
+    assert res.cases == 40 and res.ok
+    with pytest.raises(KeyError):
+        couple_chunk(np.zeros((2, SCHEDULE_U.N, SCHEDULE_U.T)), SCHEDULE_U, worst)
+
+
+def test_batched_coupling_refuses_nondeterministic_strategy():
+    bad = ss.Strategy(name="greedy", chooser=lambda v, n: sorted(v.survivors)[:n],
+                      deterministic=False)
+    with pytest.raises(NonDeterministicStrategy):
+        couple_chunk(np.zeros((2, 3, 2)), SCHEDULE_A, bad)
+
+
+def _corrupt(a, edit):
+    a = a.copy()
+    edit(a)
+    return a
+
+
+def test_audit_counts_each_planted_fault():
+    s = SCHEDULE_G
+    inc = ss.sample_chunk(ss.gaussian(0, 1), s.N, s.T, seed=6, chunk_index=0)[:50]
+    anti = ss.baseline_strategies()["anti_greedy"]
+    c = couple_chunk(inc, s, anti)
+    lo, hi = s.block_bounds()[1]
+
+    def sink_y_block(a):        # row 7's image loses 1e6 over block 2
+        a[7, :, lo + 1:hi + 1] -= 1e6
+
+    def swap_pairing(a):        # row 11's block-2 pairing swaps two entries
+        a[11, [0, 1]] = a[11, [1, 0]]
+
+    def nudge_back(a):          # row 23's rebuilt X is off by one at T
+        a[23, 0, s.T] += 1.0
+
+    def swap_rows(a):           # row 30's block-2 rows follow the swapped pairing
+        a[30, [0, 1], lo:hi] = a[30, [1, 0], lo:hi]
+
+    def swap_pairing_30(a):
+        a[30, [0, 1]] = a[30, [1, 0]]
+
+    # a bijective pairing whose rows match Y, but which the history up to
+    # t_1 does not produce: only the recomputation can catch it
+    repaired = replace(c, y_inc=_corrupt(c.y_inc, swap_rows),
+                       pairing=(c.pairing[0], _corrupt(c.pairing[1], swap_pairing_30),
+                                *c.pairing[2:]))
+    def bump_y_step(a):         # row 41's image increments stop matching X's rows
+        a[41, 3, lo] += 0.5
+
+    # the strategy's final pick moved to X's best final value: only the
+    # headline inequality sees it
+    row = int(np.flatnonzero(c.x_val[:, :, s.T].max(axis=1) > c.greedy_final)[0])
+
+    def pick_best(a):
+        a[row] = False
+        a[row, np.argmax(c.x_val[row, :, s.T])] = True
+
+    cases = [
+        (replace(c, y_val=_corrupt(c.y_val, sink_y_block)), 0, 7),
+        (replace(c, x_kept=(*c.x_kept[:-1], _corrupt(c.x_kept[-1], pick_best))), 0, row),
+        (replace(c, y_inc=_corrupt(c.y_inc, bump_y_step)), 1, 41),
+        (replace(c, pairing=(c.pairing[0], _corrupt(c.pairing[1], swap_pairing),
+                             *c.pairing[2:])), 1, 11),
+        (repaired, 1, 30),
+        (replace(c, x_back_val=_corrupt(c.x_back_val, nudge_back)), 2, 23),
+    ]
+    for bad, which, row in cases:
+        verdicts = audit_chunk(bad, s, anti)
+        assert np.flatnonzero(verdicts[which]).tolist() == [row]
+    assert not any(v.any() for v in audit_chunk(c, s, anti))
+
+
+def test_audit_runs_only_selected_checks():
+    s = SCHEDULE_U
+    inc = ss.sample_chunk(ss.gaussian(0, 1), s.N, s.T, seed=2, chunk_index=0)[:20]
+    anti = ss.baseline_strategies()["anti_greedy"]
+    c = couple_chunk(inc, s, anti, invert=False)
+    assert c.x_back_inc is None and c.x_back_val is None
+    dom, perm, inv = audit_chunk(c, s, anti, checks=("dominance",))
+    assert not dom.any() and not perm.any() and not inv.any()

@@ -351,3 +351,56 @@ def test_oracle_decision_table_export(tmp_path, capsys):
     assert lines[0] == "history,chosen_values"
     assert len(lines) > 1
     assert any("stage=1" in line for line in lines[1:])
+
+
+# --- integer settings and model parameters ------------------------------------------
+
+MC_DOC = dict(INSTANCE_A, model=GAUSSIAN, mode="mc", strategy={"name": "anti_greedy"},
+              reps=20, seed=1)
+
+
+@pytest.mark.parametrize("bad", [{"reps": True, "seed": True}, {"reps": True},
+                                 {"seed": True}, {"reps": 0}, {"seed": -1},
+                                 {"reps": "10"}, {"seed": 1.5}])
+def test_verify_mc_bad_reps_or_seed_exits_2(tmp_path, capsys, bad):
+    doc = dict(MC_DOC, **bad)
+    assert run(["verify", "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "config.reps" in err or "config.seed" in err
+
+
+def test_verify_mc_missing_reps_exits_2(tmp_path, capsys):
+    doc = {k: v for k, v in MC_DOC.items() if k != "reps"}
+    assert run(["verify", "--config", write_config(tmp_path, doc)]) == 2
+    assert "config.reps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [{"seed": True}, {"reps": True}, {"reps": 0}])
+def test_simulate_bad_reps_or_seed_exits_2(tmp_path, capsys, bad):
+    doc = dict(INSTANCE_A, strategy={"name": "greedy"}, seed=3)
+    doc.update(bad)
+    assert run(["simulate", "--config", write_config(tmp_path, doc)]) == 2
+    capsys.readouterr()
+
+
+def test_verify_mc_nan_model_parameter_exits_2(tmp_path, capsys):
+    doc = dict(MC_DOC, model={"kind": "gaussian", "mean": float("nan"), "stddev": 1})
+    assert run(["verify", "--config", write_config(tmp_path, doc)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [{"reps": "10"}, {"seed": "7"}, {"reps": True}])
+def test_drift_bad_reps_or_seed_exits_2(tmp_path, capsys, bad):
+    assert run(["drift", "--config", write_config(tmp_path, bad)]) == 2
+    err = capsys.readouterr().err
+    assert "config.reps" in err or "config.seed" in err
+
+
+@pytest.mark.parametrize("aux_seed", ["abc", 1.9])
+def test_oracle_bad_aux_seed_exits_2(tmp_path, capsys, aux_seed):
+    doc = dict(INSTANCE_A, strategies=[{"name": "random_fixed", "aux_seed": aux_seed}])
+    assert run(["oracle", "--config", write_config(tmp_path, doc)]) == 2
+    assert "aux_seed" in capsys.readouterr().err
+    doc = dict(INSTANCE_A, aux_seed=aux_seed)
+    assert run(["oracle", "--config", write_config(tmp_path, doc)]) == 2
+    assert "config.aux_seed" in capsys.readouterr().err

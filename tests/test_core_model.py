@@ -255,3 +255,31 @@ def test_schedule_config_round_trip():
 def test_schedule_config_missing_key_names_path():
     with pytest.raises(ConfigInvalid, match="schedule.sizes"):
         ss.schedule_from_config({"times": [1, 2], "N": 3, "T": 2})
+
+
+# --- non-finite parameters and the chunk value grid ---------------------------------
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "gaussian", "mean": float("nan"), "stddev": 1},
+    {"kind": "gaussian", "mean": 0, "stddev": float("inf")},
+    {"kind": "uniform", "lo": float("-inf"), "hi": 1},
+    {"kind": "uniform", "lo": 0, "hi": float("inf")},
+    {"kind": "rademacher", "scale": float("inf")},
+    {"kind": "gaussian", "mean": 10 ** 400, "stddev": 1},
+    {"kind": "drift", "base": {"kind": "gaussian", "mean": float("nan"), "stddev": 1},
+     "drift_support": [1], "drift_probs": [1]},
+    {"kind": "drift", "base": {"kind": "rademacher", "scale": 1},
+     "drift_support": [float("inf")], "drift_probs": [1]},
+])
+def test_model_from_config_rejects_non_finite_parameters(doc):
+    with pytest.raises(ConfigInvalid):
+        ss.model_from_config(doc)
+
+
+def test_value_grid_equals_ensemble_values():
+    inc = ss.sample_chunk(ss.gaussian(0.3, 2), 5, 6, seed=3, chunk_index=0)[:50]
+    grid = ss.core_model.value_grid(inc)
+    assert grid.shape == (50, 5, 7)
+    for r in range(50):
+        x = ss.PathEnsemble.from_increment_rows(inc[r].tolist())
+        assert tuple(map(tuple, grid[r].tolist())) == x.values

@@ -6,7 +6,7 @@ import pytest
 
 import staged_select as ss
 from staged_select.errors import ConfigInvalid, InvalidReps
-from staged_select.experiments import _final_values_loop, final_values_for_chunk
+from staged_select.experiments import _final_values_loop, _stage_loop, final_values_for_chunk
 
 MODEL_A = ss.rademacher(1)
 SCHEDULE_A = ss.validate_schedule([1, 2], [2, 1], N=3, T=2)
@@ -175,3 +175,45 @@ def test_drift_experiment_directional_small():
     zero = ss.drift_model(ss.rademacher(10), [0], ["1"])
     rep0 = ss.dependent_model_experiment(zero, schedule, reps=5000, seed=19)
     assert rep0.paired_diff <= 3 * rep0.paired_stderr
+
+
+# --- one stage loop per chunk --------------------------------------------------------
+
+def test_stage_loop_survivor_means_match_scalar_traces():
+    s = SCHEDULE_G
+    inc = ss.sample_chunk(GAUSS, s.N, s.T, seed=17, chunk_index=0)[:300]
+    for strat in ss.full_catalog():
+        finals, means = _stage_loop(ss.core_model.value_grid(inc), inc, s, strat)
+        sums = [0.0] * s.stages
+        for r in range(inc.shape[0]):
+            x = ss.PathEnsemble.from_increment_rows(inc[r].tolist())
+            trace = ss.run_selection(x, s, strat)
+            assert finals[r] == trace.final_value, (strat.name, r)
+            for j, rec in enumerate(trace.stages):
+                sums[j] += sum(x.values[i][rec.time] for i in rec.survivors)
+        for j in range(s.stages):
+            want = sums[j] / (inc.shape[0] * s.sizes[j])
+            assert means[j] == pytest.approx(want, rel=1e-12, abs=1e-12), (strat.name, j)
+
+
+def test_compare_coupled_counts_match_scalar_witnesses():
+    worst = ss.Strategy(
+        name="keep_worst",
+        chooser=lambda v, n: sorted(v.survivors,
+                                    key=lambda i: (v.value_at(i, v.time), i))[:n],
+    )
+    catalog = [*ss.full_catalog(), worst]
+    s = ss.validate_schedule([1, 3, 5], [4, 2, 1], N=6, T=5)
+    t = ss.compare_strategies(GAUSS, s, catalog, reps=150, seed=12, coupled=True)
+    plain = ss.compare_strategies(GAUSS, s, catalog, reps=150, seed=12)
+    inc = ss.sample_chunk(GAUSS, s.N, s.T, seed=12, chunk_index=0)[:150]
+    for row, plain_row, strat in zip(t.rows, plain.rows, catalog):
+        bad = sum(
+            not ss.build_alignment(ss.PathEnsemble.from_increment_rows(inc[r].tolist()),
+                                   s, strat).headline_ok
+            for r in range(inc.shape[0])
+        )
+        assert row.coupled_violations == bad == 0, strat.name
+        assert plain_row.coupled_violations is None
+        assert row.mean == plain_row.mean
+    assert repr(t.stage_rows) == repr(plain.stage_rows)  # keep_worst rows are NaN

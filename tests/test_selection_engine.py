@@ -14,7 +14,13 @@ from staged_select.errors import (
     StrategyViolation,
     ValueHidden,
 )
-from staged_select.selection_engine import StageRecord, ranked_ids
+from staged_select.selection_engine import (
+    StageRecord,
+    batched_stage,
+    has_batched_rule,
+    ranked_columns,
+    ranked_ids,
+)
 
 SCHEDULE_A = ss.validate_schedule([1, 2], [2, 1], N=3, T=2)
 # the hand-trace realization used across the suite: values at t=1 are
@@ -339,3 +345,50 @@ def test_trace_csv_shape():
     # stage-1 rows carry the hand-trace indices
     idx = {r[2]: r[4] for r in rows if r[1] == 1}
     assert idx == {0: 1, 1: 2, 2: 3}
+
+
+# --- batched stage rule --------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, float("inf"),
+                                          float("-inf")]),
+                         min_size=5, max_size=5), min_size=1, max_size=6),
+       st.lists(st.lists(st.booleans(), min_size=5, max_size=5), min_size=6, max_size=6))
+def test_ranked_columns_matches_ranked_ids(rows, masks):
+    scores = np.array(rows)
+    mask = np.array(masks[:len(rows)])
+    order = ranked_columns(scores, mask)
+    for r, row in enumerate(rows):
+        alive = [i for i in range(5) if mask[r, i]]
+        want = ranked_ids(alive, row.__getitem__)
+        assert order[r, :len(alive)].tolist() == want
+
+
+def test_batched_stage_matches_scalar_choosers():
+    s = ss.validate_schedule([2, 4, 8], [8, 4, 1], N=16, T=8)
+    inc = ss.sample_chunk(ss.uniform(-1, 1), s.N, s.T, seed=4, chunk_index=0)[:100]
+    values = ss.core_model.value_grid(inc)
+    for strat in ss.full_catalog():
+        assert has_batched_rule(strat)
+        alive = np.ones((100, s.N), dtype=bool)
+        for j in range(1, s.stages + 1):
+            t = s.times[j - 1]
+            alive = batched_stage(strat, s, j, values[:, :, :t + 1], inc[:, :, :t], alive)
+            for r in (0, 37, 99):
+                x = ss.PathEnsemble.from_increment_rows(inc[r].tolist())
+                rec = ss.run_selection(x, s, strat).stages[j - 1]
+                assert tuple(np.flatnonzero(alive[r]).tolist()) == rec.survivors
+
+
+def test_batched_stage_refuses_strategy_without_rule():
+    odd = ss.Strategy(name="odd", chooser=lambda v, n: list(v.survivors)[:n])
+    assert not has_batched_rule(odd)
+    with pytest.raises(KeyError):
+        batched_stage(odd, SCHEDULE_A, 1, np.zeros((1, 3, 2)), np.zeros((1, 3, 1)),
+                      np.ones((1, 3), dtype=bool))
+
+
+@pytest.mark.parametrize("aux_seed", ["abc", 1.9, True, -1, None])
+def test_strategy_from_config_rejects_bad_aux_seed(aux_seed):
+    with pytest.raises(ConfigInvalid, match="aux_seed"):
+        ss.strategy_from_config({"name": "random_fixed", "aux_seed": aux_seed})

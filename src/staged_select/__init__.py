@@ -7,7 +7,6 @@ increments.
 """
 
 from .core_model import (
-    BlockIncrements,
     Discrete,
     DriftModel,
     ENUMERATION_CAP,
@@ -22,7 +21,6 @@ from .core_model import (
     discrete,
     drift_model,
     enumerate_paths,
-    from_increments,
     gaussian,
     model_from_config,
     model_to_config,
@@ -32,7 +30,6 @@ from .core_model import (
     sample_replications,
     schedule_from_config,
     schedule_to_config,
-    to_increments,
     uniform,
     validate_schedule,
 )

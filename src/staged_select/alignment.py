@@ -380,13 +380,11 @@ def _pairs_from_prefix(w: AlignmentWitness, s: Schedule, alg: Strategy,
 
 
 def check_block_permutation(w: AlignmentWitness, s: Schedule,
-                            alg: Strategy | None = None) -> PermutationReport:
+                            alg: Strategy) -> PermutationReport:
     """Verify that each block of Y's increments is exactly a pairing-applied
     reordering of X's rows, and that the pairing for block j is recomputable
-    from data up to t_{j-1} alone (history measurability).
-
-    Pass the strategy to enable the recomputation check; without it the
-    measurability flag is reported as True only for the trivial first block.
+    from data up to t_{j-1} alone (history measurability), by rerunning
+    `alg` and greedy on both grids cut at t_{j-1}.
     """
     spans = s.block_bounds()
     checks = []
@@ -402,11 +400,8 @@ def check_block_permutation(w: AlignmentWitness, s: Schedule,
         )
         if j == 1:
             measurable = all(p.x_process == p.y_process for p in pairs)
-        elif alg is not None:
-            recomputed = _pairs_from_prefix(w, s, alg, j - 1)
-            measurable = set(recomputed) == set(pairs)
         else:
-            measurable = True
+            measurable = set(_pairs_from_prefix(w, s, alg, j - 1)) == set(pairs)
         checks.append(BlockCheck(
             block=j, bijective=bijective, rows_match=rows_match,
             history_measurable=measurable,
@@ -685,15 +680,10 @@ def verify_exhaustive(model, s: Schedule, alg: Strategy,
     image_keys = set()
     sum_image = 0
     for x, prob in atoms:
-        w = build_alignment(x, s, alg)
-        dom = check_pairwise_dominance(w, s)
-        if dom.violations or not dom.headline_ok:
-            dom_bad += 1
-        perm = check_block_permutation(w, s, alg=alg)
-        if not perm.ok:
-            perm_bad += 1
-        if invert_alignment(w.y, s, alg) != x:
-            inv_bad += 1
+        w, dom, perm, inv = _audit_case(x, s, alg)
+        dom_bad += dom
+        perm_bad += perm
+        inv_bad += inv
         y_key = w.y.key()
         image_keys.add(y_key)
         if index.get(y_key) != prob:
@@ -752,24 +742,27 @@ def _audit_chunk(inc: np.ndarray, s: Schedule, alg: Strategy,
     return tuple(int(np.count_nonzero(bad)) for bad in audit_chunk(c, s, alg, checks))
 
 
+def _audit_case(x: PathEnsemble, s: Schedule, alg: Strategy,
+                checks: tuple[str, ...] = ALL_CHECKS) -> tuple[AlignmentWitness, bool, bool, bool]:
+    """Couple one realization and audit the witness: returns it with
+    whether it fails dominance (recomputed from the witness grids),
+    permutation and inversion (False for a check not selected)."""
+    w = build_alignment(x, s, alg)
+    dom_bad = "dominance" in checks and not check_pairwise_dominance(w, s).ok
+    perm_bad = "permutation" in checks and not check_block_permutation(w, s, alg).ok
+    inv_bad = "inversion" in checks and invert_alignment(w.y, s, alg) != x
+    return w, dom_bad, perm_bad, inv_bad
+
+
 def _audit_rows(inc: np.ndarray, s: Schedule, alg: Strategy,
                 checks: tuple[str, ...]) -> tuple[int, int, int]:
     """Violation counts (dominance, permutation, inversion) of a chunk,
-    one realization at a time through the scalar witness."""
-    dom_bad = perm_bad = inv_bad = 0
+    one realization at a time through `_audit_case`."""
+    counts = [0, 0, 0]
     for r in range(inc.shape[0]):
         x = PathEnsemble.from_increment_rows(inc[r].tolist(), model_tag="mc")
-        w = build_alignment(x, s, alg)
-        if "dominance" in checks:
-            if not w.headline_ok or not all(e.ok for e in w.dominance):
-                dom_bad += 1
-        if "permutation" in checks:
-            if not check_block_permutation(w, s, alg=alg).ok:
-                perm_bad += 1
-        if "inversion" in checks:
-            if invert_alignment(w.y, s, alg) != x:
-                inv_bad += 1
-    return dom_bad, perm_bad, inv_bad
+        counts = [n + bad for n, bad in zip(counts, _audit_case(x, s, alg, checks)[1:])]
+    return tuple(counts)
 
 
 # ---------------------------------------------------------------------------

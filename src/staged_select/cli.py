@@ -105,12 +105,22 @@ def _setting(override: int | None, cfg: dict, key: str, minimum: int = 0,
     return default
 
 
+def _flag(cfg: dict, key: str) -> bool:
+    v = cfg.get(key, False)
+    if not isinstance(v, bool):
+        raise ConfigInvalid(f"config.{key}: expected true or false")
+    return v
+
+
 def _write_text(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot write {out}: {exc.strerror or exc}")
 
 
 def _csv_text(header, rows) -> str:
@@ -245,6 +255,9 @@ def cmd_oracle(args) -> int:
     model = model_from_config(cfg["model"])
     schedule = schedule_from_config(cfg["schedule"])
     cap = _positive_int(cfg, "cap") if "cap" in cfg else ENUMERATION_CAP
+    search = _flag(cfg, "search")
+    if not isinstance(cfg.get("decision_table_out", ""), str):
+        raise ConfigInvalid("config.decision_table_out: expected a path string")
     if "strategies" in cfg:
         strategies = _parse_strategies(cfg["strategies"])
     else:
@@ -267,7 +280,7 @@ def cmd_oracle(args) -> int:
     bug = [v.strategy for v in values if v.value > optimum.value]
     if bug:
         doc["exceeds_optimum"] = bug  # impossible if the oracles are right
-    if cfg.get("search"):
+    if search:
         search_cap = cap if "cap" in cfg else oracle.SEARCH_CAP
         res = oracle.exhaustive_strategy_search(model, schedule, cap=search_cap)
         doc["search_optimal"] = str(res.best)
@@ -314,7 +327,7 @@ def cmd_compare(args) -> int:
     seed = _setting(args.seed, cfg, "seed")
     table = experiments.compare_strategies(
         model, schedule, strategies, reps, seed,
-        threads=_threads(args), coupled=bool(cfg.get("coupled", False)),
+        threads=_threads(args), coupled=_flag(cfg, "coupled"),
     )
     _emit_comparison(args, table)
     if args.stage_out:

@@ -1,5 +1,5 @@
-"""Increment models, observation schedules, path ensembles, and the exact
-block-increment transform.
+"""Increment models, observation schedules, path ensembles, sampling and
+exact enumeration.
 
 Conventions used throughout the package:
 
@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import (
     ConfigInvalid,
-    DimensionMismatch,
     EnumerationTooLarge,
     InvalidDimensions,
     LastSizeNotOne,
@@ -128,6 +127,8 @@ class Uniform:
         _require_finite("uniform", self.lo, self.hi)
         if not self.lo < self.hi:
             raise ConfigInvalid("uniform requires lo < hi")
+        if not math.isfinite(self.hi - self.lo):
+            raise ConfigInvalid("uniform range hi - lo must be finite")
 
     def tag(self) -> str:
         return f"uniform({self.lo},{self.hi})"
@@ -356,45 +357,6 @@ class PathEnsemble:
         return self.values
 
 
-@dataclass(frozen=True)
-class BlockIncrements:
-    """Per-stage grids of step increments: block j is N x (t_j - t_{j-1})."""
-
-    blocks: tuple[tuple[tuple[Number, ...], ...], ...]
-
-    @property
-    def n_processes(self) -> int:
-        return len(self.blocks[0])
-
-
-def to_increments(x: PathEnsemble, s: Schedule) -> BlockIncrements:
-    """Split the ensemble's step increments into the schedule's blocks."""
-    if x.n_processes != s.N or x.horizon != s.T:
-        raise DimensionMismatch(
-            f"ensemble is {x.n_processes}x{x.horizon}, schedule wants {s.N}x{s.T}"
-        )
-    blocks = []
-    for lo, hi in s.block_bounds():
-        blocks.append(tuple(row[lo:hi] for row in x.increments))
-    return BlockIncrements(blocks=tuple(blocks))
-
-
-def from_increments(b: BlockIncrements, s: Schedule) -> PathEnsemble:
-    """Rebuild the ensemble from block increments (exact inverse of
-    `to_increments`)."""
-    spans = s.block_bounds()
-    if len(b.blocks) != len(spans):
-        raise DimensionMismatch(f"{len(b.blocks)} blocks for a {len(spans)}-stage schedule")
-    for block, (lo, hi) in zip(b.blocks, spans):
-        if len(block) != s.N or any(len(row) != hi - lo for row in block):
-            raise DimensionMismatch(f"block spanning ({lo},{hi}] has the wrong shape")
-    rows = [
-        tuple(itertools.chain.from_iterable(block[i] for block in b.blocks))
-        for i in range(s.N)
-    ]
-    return PathEnsemble.from_increment_rows(rows)
-
-
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
@@ -409,28 +371,48 @@ def _substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(path)))
 
 
-def _draw_steps(model: IncrementModel, count: int, rng: np.random.Generator) -> list[float]:
-    if isinstance(model, Rademacher):
-        model = model.as_discrete()
-    if isinstance(model, Discrete):
-        thresholds = np.cumsum([float(p) for p in model.probs])
-        u = rng.random(count)
-        idx = np.searchsorted(thresholds, u, side="right")
-        idx = np.minimum(idx, len(model.support) - 1)
-        support = [float(v) for v in model.support]
-        return [support[i] for i in idx]
-    if isinstance(model, Gaussian):
-        return list(model.mean + model.stddev * rng.standard_normal(count))
-    if isinstance(model, Uniform):
-        return list(rng.uniform(model.lo, model.hi, count))
-    raise TypeError(f"cannot sample from {type(model).__name__}")
+#: replication block size for batched Monte Carlo sampling; fixed so that a
+#: replication's draws depend only on (model, N, T, seed), never on worker
+#: count or total replication budget
+REPLICATION_CHUNK = 4096
 
 
-def _draw_one(support: tuple[Fraction, ...], probs: tuple[Fraction, ...],
-              rng: np.random.Generator) -> float:
+def _draw_categorical(support: Sequence[Number], probs: Sequence[Fraction],
+                      shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     thresholds = np.cumsum([float(p) for p in probs])
-    i = int(np.searchsorted(thresholds, rng.random(), side="right"))
-    return float(support[min(i, len(support) - 1)])
+    idx = np.searchsorted(thresholds, rng.random(shape), side="right")
+    return np.array([float(v) for v in support])[np.minimum(idx, len(support) - 1)]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow is reported below
+def _draw_increments(model: Model, shape: tuple[int, ...], T: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Step increments of shape `shape + (T,)` from one stream.
+
+    A drift model draws its persistent drift for `shape` first, then the
+    base steps.  Raises `ConfigInvalid` when a path's running sum is not
+    finite: huge finite parameters would otherwise overflow the paths to
+    inf/NaN, which every comparison-based check reports as a violation.
+    """
+    if isinstance(model, DriftModel):
+        drift = _draw_categorical(model.drift_support, model.drift_probs, shape, rng)
+        inc = drift[..., None] + _draw_increments(model.base, shape, T, rng)
+    elif isinstance(model, (Discrete, Rademacher)):
+        d = model.as_discrete() if isinstance(model, Rademacher) else model
+        inc = _draw_categorical(d.support, d.probs, shape + (T,), rng)
+    elif isinstance(model, Gaussian):
+        inc = model.mean + model.stddev * rng.standard_normal(shape + (T,))
+    elif isinstance(model, Uniform):
+        inc = rng.uniform(model.lo, model.hi, shape + (T,))
+    else:
+        raise TypeError(f"cannot sample from {type(model).__name__}")
+    # sequential sum: once a running sum is inf or NaN it stays so
+    total = inc[..., 0].copy()
+    for t in range(1, T):
+        total += inc[..., t]
+    if not np.isfinite(total).all():
+        raise ConfigInvalid(f"{model.tag()}: sampled paths overflow to non-finite values")
+    return inc
 
 
 def sample_ensemble(model: Model, N: int, T: int, seed: int) -> PathEnsemble:
@@ -443,38 +425,8 @@ def sample_ensemble(model: Model, N: int, T: int, seed: int) -> PathEnsemble:
     """
     if not isinstance(N, int) or not isinstance(T, int) or N < 2 or T < 1:
         raise InvalidDimensions(f"need integer N >= 2 and T >= 1, got N={N}, T={T}")
-    rows = []
-    for i in range(N):
-        rng = _substream(seed, i)
-        if isinstance(model, DriftModel):
-            d = _draw_one(model.drift_support, model.drift_probs, rng)
-            steps = [d + b for b in _draw_steps(model.base, T, rng)]
-        else:
-            steps = _draw_steps(model, T, rng)
-        rows.append(steps)
+    rows = [_draw_increments(model, (), T, _substream(seed, i)).tolist() for i in range(N)]
     return PathEnsemble.from_increment_rows(rows, seed=seed, model_tag=model.tag())
-
-
-#: replication block size for batched Monte Carlo sampling; fixed so that a
-#: replication's draws depend only on (model, N, T, seed), never on worker
-#: count or total replication budget
-REPLICATION_CHUNK = 4096
-
-
-def _draw_step_array(model: IncrementModel, shape: tuple[int, ...],
-                     rng: np.random.Generator) -> np.ndarray:
-    if isinstance(model, Rademacher):
-        model = model.as_discrete()
-    if isinstance(model, Discrete):
-        thresholds = np.cumsum([float(p) for p in model.probs])
-        idx = np.searchsorted(thresholds, rng.random(shape), side="right")
-        idx = np.minimum(idx, len(model.support) - 1)
-        return np.array([float(v) for v in model.support])[idx]
-    if isinstance(model, Gaussian):
-        return model.mean + model.stddev * rng.standard_normal(shape)
-    if isinstance(model, Uniform):
-        return rng.uniform(model.lo, model.hi, shape)
-    raise TypeError(f"cannot sample from {type(model).__name__}")
 
 
 def sample_chunk(model: Model, N: int, T: int, seed: int, chunk_index: int,
@@ -489,14 +441,7 @@ def sample_chunk(model: Model, N: int, T: int, seed: int, chunk_index: int,
     """
     if not isinstance(N, int) or not isinstance(T, int) or N < 2 or T < 1:
         raise InvalidDimensions(f"need integer N >= 2 and T >= 1, got N={N}, T={T}")
-    rng = _substream(seed, chunk_index)
-    if isinstance(model, DriftModel):
-        thresholds = np.cumsum([float(p) for p in model.drift_probs])
-        idx = np.searchsorted(thresholds, rng.random((chunk, N)), side="right")
-        idx = np.minimum(idx, len(model.drift_support) - 1)
-        drift = np.array([float(v) for v in model.drift_support])[idx]
-        return drift[:, :, None] + _draw_step_array(model.base, (chunk, N, T), rng)
-    return _draw_step_array(model, (chunk, N, T), rng)
+    return _draw_increments(model, (chunk, N), T, _substream(seed, chunk_index))
 
 
 def value_grid(inc: np.ndarray) -> np.ndarray:
@@ -508,17 +453,17 @@ def value_grid(inc: np.ndarray) -> np.ndarray:
     return out
 
 
+def replication_plan(reps: int, chunk: int = REPLICATION_CHUNK) -> list[tuple[int, int]]:
+    """(chunk_index, rows) pairs covering `reps` replications: the first
+    `rows` rows of each chunk, in chunk order."""
+    return [(c, min(chunk, reps - c * chunk)) for c in range(-(-reps // chunk))]
+
+
 def sample_replications(model: Model, N: int, T: int, reps: int, seed: int,
                         chunk: int = REPLICATION_CHUNK):
     """Yield (start_index, increments) blocks covering `reps` replications."""
-    produced = 0
-    c = 0
-    while produced < reps:
-        inc = sample_chunk(model, N, T, seed, c, chunk=chunk)
-        take = min(chunk, reps - produced)
-        yield produced, inc[:take]
-        produced += take
-        c += 1
+    for c, rows in replication_plan(reps, chunk):
+        yield c * chunk, sample_chunk(model, N, T, seed, c, chunk=chunk)[:rows]
 
 
 # ---------------------------------------------------------------------------

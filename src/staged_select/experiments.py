@@ -31,10 +31,10 @@ from .core_model import (
     DriftModel,
     Model,
     PathEnsemble,
-    REPLICATION_CHUNK,
     Schedule,
     drift_model,
     rademacher,
+    replication_plan,
     sample_chunk,
     validate_schedule,
     value_grid,
@@ -90,19 +90,6 @@ def final_values_for_chunk(inc: np.ndarray, s: Schedule, alg: Strategy) -> np.nd
 # ---------------------------------------------------------------------------
 # deterministic chunked reduction
 # ---------------------------------------------------------------------------
-
-def _chunk_plan(reps: int) -> list[tuple[int, int]]:
-    """(chunk_index, rows_used) covering reps replications."""
-    plan = []
-    produced = 0
-    c = 0
-    while produced < reps:
-        take = min(REPLICATION_CHUNK, reps - produced)
-        plan.append((c, take))
-        produced += take
-        c += 1
-    return plan
-
 
 def _map_ordered(fn, args: list, threads: int) -> list:
     if threads <= 1:
@@ -172,7 +159,7 @@ def mc_estimate(model: Model, s: Schedule, alg: Strategy, reps: int,
         return int(finals.size), float(np.mean(finals)), float(np.sum((finals - np.mean(finals)) ** 2))
 
     acc = _Welford()
-    for n, mean, m2 in _map_ordered(work, _chunk_plan(reps), threads):
+    for n, mean, m2 in _map_ordered(work, replication_plan(reps), threads):
         acc.absorb(n, mean, m2)
     se = acc.stderr
     return McResult(
@@ -276,7 +263,7 @@ def compare_strategies(model: Model, s: Schedule, catalog: list[Strategy],
     hasher = hashlib.sha256()
     total = 0
     for digest, stats, stage_means, coupled_bad, take in _map_ordered(
-            work, _chunk_plan(reps), threads):
+            work, replication_plan(reps), threads):
         hasher.update(digest.encode())
         for ai, (n, mean, m2, dmean, dm2) in enumerate(stats):
             value_acc[ai].absorb(n, mean, m2)

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import staged_select as ss
+from staged_select import alignment
 from staged_select.alignment import ALL_CHECKS, _audit_rows, audit_chunk, couple_chunk
-from staged_select.errors import NonDeterministicStrategy
+from staged_select.errors import DimensionMismatch, NonDeterministicStrategy
 
 SCHEDULE_A = ss.validate_schedule([1, 2], [2, 1], N=3, T=2)
 MODEL_A = ss.rademacher(1)
@@ -61,10 +62,19 @@ def test_block_increments_conserved_as_multisets():
     for strat in ss.full_catalog():
         x = ss.PathEnsemble.from_increment_rows(rng.standard_normal((8, 6)).tolist())
         w = ss.build_alignment(x, s, strat)
-        xb = ss.to_increments(x, s)
-        yb = ss.to_increments(w.y, s)
-        for bx, by in zip(xb.blocks, yb.blocks):
-            assert Counter(bx) == Counter(by)
+        for lo, hi in s.block_bounds():
+            assert (Counter(row[lo:hi] for row in x.increments)
+                    == Counter(row[lo:hi] for row in w.y.increments))
+
+
+def test_dimension_mismatch_detected():
+    x = ss.PathEnsemble.from_increment_rows([[1, -1]] * 4)
+    with pytest.raises(DimensionMismatch):
+        ss.build_alignment(x, SCHEDULE_A, ANTI)
+    with pytest.raises(DimensionMismatch):
+        ss.invert_alignment(x, SCHEDULE_A, ANTI)
+    with pytest.raises(DimensionMismatch):
+        couple_chunk(np.zeros((2, 4, 2)), SCHEDULE_A, ANTI)
 
 
 def test_nondeterministic_strategy_refused():
@@ -282,6 +292,24 @@ def test_batched_verify_mc_equals_scalar_loop():
         assert res.cases == 300
         assert (res.dominance_violations, res.permutation_violations,
                 res.inversion_failures) == tuple(counts) == (0, 0, 0)
+
+
+def test_audit_case_recomputes_dominance_from_witness_grids(monkeypatch):
+    # sink Y's last block after the build: the entries recorded during the
+    # build still read ok, so only a recomputation from the grids sees it
+    real = alignment.build_alignment
+
+    def sunk(x, s, alg):
+        w = real(x, s, alg)
+        rows = [row[:-1] + (row[-1] - 10,) for row in w.y.increments]
+        return replace(w, y=ss.PathEnsemble.from_increment_rows(rows))
+
+    monkeypatch.setattr(alignment, "build_alignment", sunk)
+    w, dom_bad, perm_bad, inv_bad = alignment._audit_case(TRACE_X, SCHEDULE_A, ANTI)
+    assert all(e.ok for e in w.dominance)
+    assert dom_bad and perm_bad and inv_bad
+    assert alignment._audit_case(TRACE_X, SCHEDULE_A, ANTI, ("permutation",))[1:] == (
+        False, True, False)
 
 
 def test_verify_mc_falls_back_for_strategies_without_batched_rule():

@@ -404,3 +404,83 @@ def test_oracle_bad_aux_seed_exits_2(tmp_path, capsys, aux_seed):
     doc = dict(INSTANCE_A, aux_seed=aux_seed)
     assert run(["oracle", "--config", write_config(tmp_path, doc)]) == 2
     assert "config.aux_seed" in capsys.readouterr().err
+
+
+# --- overflowing paths, boolean flags and output paths ------------------------
+
+HUGE_GAUSSIAN = {"kind": "gaussian", "mean": -1e308, "stddev": 1e308}
+HUGE_DRIFT = {"kind": "drift", "base": {"kind": "gaussian", "mean": 0, "stddev": 1},
+              "drift_support": [1e308], "drift_probs": [1]}
+
+
+@pytest.mark.parametrize("model", [HUGE_GAUSSIAN, HUGE_DRIFT,
+                                   {"kind": "uniform", "lo": -1e308, "hi": 1e308}])
+def test_verify_mc_overflowing_paths_exit_2(tmp_path, capsys, model):
+    doc = dict(MC_DOC, model=model)
+    assert run(["verify", "--config", write_config(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite" in captured.err
+
+
+@pytest.mark.parametrize("model", [HUGE_GAUSSIAN, HUGE_DRIFT])
+def test_simulate_overflowing_paths_exit_2(tmp_path, capsys, model):
+    doc = dict(INSTANCE_A, model=model, strategy={"name": "greedy"}, seed=3)
+    assert run(["simulate", "--config", write_config(tmp_path, doc)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_compare_and_drift_overflowing_paths_exit_2(tmp_path, capsys):
+    doc = dict(INSTANCE_A, model=HUGE_GAUSSIAN, strategies=["greedy", "anti_greedy"],
+               reps=50, seed=1)
+    assert run(["compare", "--config", write_config(tmp_path, doc)]) == 2
+    assert run(["drift", "--config", write_config(tmp_path, {"model": HUGE_DRIFT})]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []])
+def test_compare_coupled_must_be_boolean(tmp_path, capsys, value):
+    doc = dict(INSTANCE_A, strategies=["greedy", "anti_greedy"], reps=50, seed=1,
+               coupled=value)
+    assert run(["compare", "--config", write_config(tmp_path, doc)]) == 2
+    assert "config.coupled" in capsys.readouterr().err
+
+
+def test_compare_coupled_boolean_accepted(tmp_path, capsys):
+    doc = dict(INSTANCE_A, strategies=["greedy", "anti_greedy"], reps=50, seed=1)
+    for value, present in ((True, True), (False, False)):
+        cfg = write_config(tmp_path, dict(doc, coupled=value))
+        assert run(["compare", "--config", cfg, "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert all(("coupled_violations" in r) == present for r in rows)
+
+
+@pytest.mark.parametrize("value", ["no", "yes", 1, None])
+def test_oracle_search_must_be_boolean(tmp_path, capsys, value):
+    doc = dict(INSTANCE_A, search=value)
+    assert run(["oracle", "--config", write_config(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "config.search" in captured.err
+
+
+@pytest.mark.parametrize("value", [7, True, None, ["t.csv"]])
+def test_oracle_decision_table_out_must_be_a_path(tmp_path, capsys, value):
+    doc = dict(INSTANCE_A, decision_table_out=value)
+    assert run(["oracle", "--config", write_config(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "config.decision_table_out" in captured.err
+
+
+def test_unwritable_output_paths_exit_2(tmp_path, capsys):
+    missing = str(tmp_path / "no" / "such" / "dir" / "x.json")
+    assert run(["validate", "--config", write_config(tmp_path, INSTANCE_A),
+                "--out", missing]) == 2
+    assert "cannot write" in capsys.readouterr().err
+    assert run(["validate", "--config", write_config(tmp_path, INSTANCE_A),
+                "--out", str(tmp_path)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+    doc = dict(INSTANCE_A, decision_table_out=missing)
+    assert run(["oracle", "--config", write_config(tmp_path, doc)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+    cfg = compare_config(tmp_path)
+    assert run(["compare", "--config", cfg, "--reps", "50", "--stage-out", missing]) == 2
+    assert "cannot write" in capsys.readouterr().err

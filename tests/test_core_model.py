@@ -1,17 +1,14 @@
-"""Models, schedules, ensembles, sampling, enumeration, and the block
-increment transform."""
+"""Models, schedules, ensembles, sampling, and enumeration."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import staged_select as ss
 from staged_select.errors import (
     ConfigInvalid,
-    DimensionMismatch,
     EnumerationTooLarge,
     InvalidDimensions,
     LastSizeNotOne,
@@ -99,7 +96,7 @@ def test_degenerate_single_stage_schedule_is_legal():
     assert s.stages == 1
 
 
-# --- ensembles and the increment transform ---------------------------------
+# --- ensembles ---------------------------------------------------------------
 
 def test_paths_start_at_zero_and_stay_consistent():
     x = ss.PathEnsemble.from_increment_rows([[1, -1], [2, 0]])
@@ -110,53 +107,6 @@ def test_paths_start_at_zero_and_stay_consistent():
 def test_from_value_rows_requires_zero_start():
     with pytest.raises(InvalidDimensions):
         ss.PathEnsemble.from_value_rows([[1, 2]])
-
-
-def test_to_increments_zero_ensemble():
-    _, s = INSTANCE_A
-    x = ss.PathEnsemble.from_increment_rows([[0, 0]] * 3)
-    b = ss.to_increments(x, s)
-    assert all(all(v == 0 for v in row) for block in b.blocks for row in block)
-
-
-def test_to_increments_telescopes():
-    _, s = INSTANCE_A
-    x = ss.PathEnsemble.from_value_rows([[0, 0, 0], [0, 1, 0], [0, 2, 4]])
-    b = ss.to_increments(x, s)
-    assert b.blocks[0][1] == (1,)
-    assert b.blocks[1][1] == (-1,)
-    assert ss.from_increments(b, s).values[1] == (0, 1, 0)
-
-
-def test_increment_round_trip_exact_for_floats():
-    _, s = INSTANCE_A
-    rng = np.random.default_rng(5)
-    x = ss.PathEnsemble.from_increment_rows(rng.standard_normal((3, 2)).tolist())
-    assert ss.from_increments(ss.to_increments(x, s), s) == x
-
-
-def test_dimension_mismatch_detected():
-    _, s = INSTANCE_A
-    x = ss.PathEnsemble.from_increment_rows([[1, -1]] * 4)
-    with pytest.raises(DimensionMismatch):
-        ss.to_increments(x, s)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_round_trip_property(data):
-    N = data.draw(st.integers(2, 5), label="N")
-    T = data.draw(st.integers(2, 6), label="T")
-    rows = data.draw(st.lists(
-        st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=T, max_size=T),
-        min_size=N, max_size=N,
-    ), label="rows")
-    stages = data.draw(st.integers(1, min(2, T - 1, N - 1)), label="stages")
-    sizes = list(range(stages, 0, -1))
-    times = list(range(T - stages + 1, T + 1))
-    s = ss.validate_schedule(times, sizes, N=N, T=T)
-    x = ss.PathEnsemble.from_increment_rows(rows)
-    assert ss.from_increments(ss.to_increments(x, s), s) == x
 
 
 # --- sampling --------------------------------------------------------------
@@ -200,6 +150,73 @@ def test_replication_chunks_are_schedule_independent():
     one = np.concatenate([inc for _, inc in ss.sample_replications(m, 3, 2, 10, seed=9)])
     two = np.concatenate([inc for _, inc in ss.sample_replications(m, 3, 2, 7000, seed=9)])
     assert np.array_equal(one, two[:10])
+
+
+@pytest.mark.parametrize("reps,plan", [
+    (0, []), (1, [(0, 1)]), (4096, [(0, 4096)]), (4097, [(0, 4096), (1, 1)]),
+    (10_000, [(0, 4096), (1, 4096), (2, 1808)]),
+])
+def test_replication_plan(reps, plan):
+    assert ss.core_model.replication_plan(reps) == plan
+    starts = [start for start, _ in ss.sample_replications(ss.gaussian(0, 1), 2, 1, reps, 0)]
+    assert starts == [c * ss.REPLICATION_CHUNK for c, _ in plan]
+
+
+# SHA-256 of `sample_chunk` chunk 0 and of one `sample_ensemble` realization
+# (values then increments, as float64) at N=3, T=4, seed=7.  Any change to a
+# draw routine that moves a single bit of a seeded draw changes these.
+GOLDEN_DRAWS = {
+    "gaussian": (ss.gaussian(0.5, 2),
+                 "e90741910567861a29f0f3b43dabad169497003f704312825a7e37d95d49489c",
+                 "664dcbf0ca697b885ad625279987727e56d601275ac720375769ae3304454cf2"),
+    "uniform": (ss.uniform(-1, 2),
+                "43caef38fec1da8b91effc21488f4a20ea18f527b63eb1800dac484811cff842",
+                "d2acf82f67ca3d3a98c5f8c45b2459c72dd034164a80e963df71658428ec7fa4"),
+    "discrete": (ss.discrete([2, 0, -1], ["1/4", "1/4", "1/2"]),
+                 "39b2f243d444c48711b6d23aab4003753db83b15f7fa15dd07e282d4099868ee",
+                 "9f9d6a9d98ff70ab57790ae5c64586c59d8793a84e6c013cc18a4f0b5fe047c1"),
+    "rademacher": (ss.rademacher(1),
+                   "05138969579ef09f7088b23fc03fd882bbbb6032843d26a1468dd6d32459d2d8",
+                   "8dcdda6c6657bef62e8bd7a06404373c1862e703dc483d4008134f0f9798292c"),
+    "drift": (ss.drift_model(ss.rademacher(3), [1, -1], ["1/2", "1/2"]),
+              "6340455feb58c8829c07fbcd0039b2b293394dfd481e4042e48f3c4ce4c93059",
+              "a940c53b4ea1c29b5dbf7be45e77c5dcf6e60e9368999f7d9454c07fec56a098"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_DRAWS))
+def test_golden_draws(kind):
+    model, chunk_hash, ensemble_hash = GOLDEN_DRAWS[kind]
+    chunk = ss.sample_chunk(model, 3, 4, seed=7, chunk_index=0)
+    assert chunk.dtype == np.float64 and chunk.shape == (ss.REPLICATION_CHUNK, 3, 4)
+    x = ss.sample_ensemble(model, 3, 4, seed=7)
+    grids = (np.array(x.values, dtype=np.float64).tobytes()
+             + np.array(x.increments, dtype=np.float64).tobytes())
+    assert (hashlib.sha256(chunk.tobytes()).hexdigest(),
+            hashlib.sha256(grids).hexdigest()) == (chunk_hash, ensemble_hash)
+
+
+@pytest.mark.parametrize("model", [
+    ss.gaussian(1e308, 0),                          # every step is 1e308
+    ss.gaussian(-1e308, 1e308),
+    ss.drift_model(ss.gaussian(0, 0), [1e308], ["1"]),
+    ss.drift_model(ss.gaussian(1e308, 0), [0], ["1"]),
+])
+def test_sampler_refuses_overflowing_paths(model):
+    with pytest.raises(ConfigInvalid, match="non-finite"):
+        ss.sample_chunk(model, 3, 2, seed=0, chunk_index=0, chunk=64)
+    with pytest.raises(ConfigInvalid, match="non-finite"):
+        ss.sample_ensemble(model, 3, 4, seed=0)
+
+
+def test_sampler_accepts_huge_paths_that_stay_finite():
+    inc = ss.sample_chunk(ss.rademacher(1e308), 3, 1, seed=0, chunk_index=0, chunk=64)
+    assert np.isfinite(inc).all()
+
+
+def test_uniform_range_must_be_finite():
+    with pytest.raises(ConfigInvalid, match="hi - lo"):
+        ss.uniform(-1e308, 1e308)
 
 
 # --- enumeration -----------------------------------------------------------

@@ -43,7 +43,6 @@ from .selection_engine import (
     full_catalog,
     greedy_strategy,
     random_fixed_strategy,
-    rank_desc,
     run_selection,
     strategy_from_config,
     trace_to_csv_rows,
@@ -69,7 +68,6 @@ from .oracle import (
     exact_expected_value,
     exact_expected_values,
     exhaustive_strategy_search,
-    literal_profile_search,
     order_stat_lemma_check,
 )
 from .experiments import (

@@ -24,22 +24,29 @@ Because Y's rows accumulate exactly the same increment values as X's rows
 (in the same order, from anchors that dominate), the per-pair inequalities
 hold exactly in floating point as well: float addition is monotone in each
 argument, so no tolerance is needed anywhere in this module.
+
+Every sweep (`verify_mc`, `verify_exhaustive`, coupled comparisons) couples
+and audits whole chunks as arrays (`couple_chunk`, `audit_chunk`) for a
+strategy with a `RankRule`, else one realization at a time (`_audit_case`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .core_model import (
+    ENUMERATION_CAP,
+    REPLICATION_CHUNK,
     Model,
     Number,
     PathEnsemble,
+    Rademacher,
     Schedule,
-    enumerate_paths,
-    ENUMERATION_CAP,
     sample_replications,
     value_grid,
 )
@@ -527,7 +534,7 @@ def couple_chunk(inc: np.ndarray, s: Schedule, alg: Strategy,
     """Build the coupling for every row of an increment chunk (reps, N, T)
     at once, and with `invert` the mirror walk that rebuilds X from Y.
 
-    The strategy needs a batched rule (`has_batched_rule`).  A test pins
+    The strategy needs a `RankRule` (`has_batched_rule`).  A test pins
     every field to `build_alignment`/`invert_alignment` row by row.
     """
     _require_deterministic(alg)
@@ -604,15 +611,8 @@ def audit_chunk(c: ChunkCoupling, s: Schedule, alg: Strategy,
 def headline_violations(inc: np.ndarray, s: Schedule, alg: Strategy) -> int:
     """Rows of an increment chunk where the strategy's final value on X
     exceeds greedy's on the image Y (expect zero)."""
-    if has_batched_rule(alg):
-        c = couple_chunk(inc, s, alg, invert=False)
-        return int(np.count_nonzero(~(c.alg_final <= c.greedy_final)))
-    bad = 0
-    for r in range(inc.shape[0]):
-        x = PathEnsemble.from_increment_rows(inc[r].tolist(), model_tag="mc")
-        if not build_alignment(x, s, alg).headline_ok:
-            bad += 1
-    return bad
+    _, _, alg_final, greedy_final = _audit(inc, s, alg, (), has_batched_rule(alg))
+    return int(np.count_nonzero(~(np.asarray(alg_final) <= np.asarray(greedy_final))))
 
 
 # ---------------------------------------------------------------------------
@@ -662,41 +662,71 @@ def verify_exhaustive(model, s: Schedule, alg: Strategy,
                       cap: int = ENUMERATION_CAP) -> VerifyResult:
     """Audit the coupling over the entire enumerated path space.
 
-    Checks, atom by atom with exact arithmetic: pairwise and headline
-    dominance, per-block permutation structure with history measurability,
-    probability preservation P(image) = P(atom), global injectivity (hence
-    bijectivity), exact inversion, and the change-of-variables identity
-    sum P * greedy(image) = sum P * greedy(atom).  The image side sums the
-    per-atom greedy runs on Y; the direct side is greedy's exact expected
-    value from `exact_expected_value`, which walks the tree of reachable
-    histories instead of running greedy on every atom.  The model must be
-    discrete with independent increments, as for the oracles.
+    Every atom is checked exactly for pairwise and headline dominance,
+    per-block permutation structure with history measurability, and exact
+    inversion; the whole space for injectivity of the image map (hence a
+    bijection of atoms), P(image) = P(atom), and the change-of-variables
+    identity sum P * greedy(image) = sum P * greedy(atom).
+
+    Atoms are streamed in enumeration order as chunks of symbol indices (a
+    mixed-radix count), never listed.  A strategy with a `RankRule` is
+    coupled and audited a chunk at a time on the support scaled by the lcm
+    of its denominators: values and rule scores are then integers or
+    half-integers, exact in float64 under the guard
+    2 * T * max|scaled step| < 2**52, so rankings and ties equal the
+    rational run's.  Other strategies, and supports past the guard, go atom
+    by atom through `_audit_case` in rationals.  Images are read back as
+    symbols: injectivity is a bitmap over atom indices, equal symbol counts
+    mean equal probabilities, and the image side of the identity is summed
+    exactly per count class.  The direct side is greedy's exact value on
+    the tree of reachable histories (`exact_expected_value`, which also
+    refuses models without discrete, independent steps).
     """
     sum_direct = exact_expected_value(model, s, greedy_strategy(), cap=cap).value
-    atoms = enumerate_paths(model, s.N, s.T, cap=cap)
-    index = {x.key(): p for x, p in atoms}
-    dom_bad = perm_bad = inv_bad = 0
-    pushforward_ok = True
-    image_keys = set()
-    sum_image = 0
-    for x, prob in atoms:
-        w, dom, perm, inv = _audit_case(x, s, alg)
-        dom_bad += dom
-        perm_bad += perm
-        inv_bad += inv
-        y_key = w.y.key()
-        image_keys.add(y_key)
-        if index.get(y_key) != prob:
-            pushforward_ok = False
-        sum_image += prob * w.greedy_final
+    disc = model.as_discrete() if isinstance(model, Rademacher) else model
+    size, length = len(disc.support), s.N * s.T
+    scale = math.lcm(*(v.denominator for v in disc.support))
+    steps = [int(v * scale) for v in disc.support]
+    chunked = has_batched_rule(alg) and 2 * s.T * max(map(abs, steps)) < 2 ** 52
+    scale, grid = ((scale, np.array(steps, dtype=float)) if chunked
+                   else (1, np.array(disc.support, dtype=object)))
+    index = {v: sym for sym, v in enumerate(grid.tolist())}
+    symbols = np.vectorize(lambda v: index.get(v, -1), otypes=[np.int64])  # -1: off the support
+    class_prob = lru_cache(maxsize=None)(lambda key: math.prod(disc.probs[k] for k in key))
+    count = size ** length
+    radix = size ** np.arange(length - 1, -1, -1)
+    seen = np.zeros(-(-count // 8), dtype=np.uint8)
+    bad = [0, 0, 0]
+    bijective = pushforward_ok = True
+    class_sums: dict[tuple, Number] = {}
+    for start in range(0, count, REPLICATION_CHUNK):
+        codes = np.arange(start, min(start + REPLICATION_CHUNK, count))
+        x_sym = codes[:, None] // radix % size
+        verdicts, y_inc, _, finals = _audit(grid[x_sym].reshape(-1, s.N, s.T), s, alg,
+                                            ALL_CHECKS, chunked)
+        bad = [n + int(np.count_nonzero(v)) for n, v in zip(bad, verdicts)]
+        y_sym = symbols(y_inc).reshape(len(codes), length)
+        off_support = bool((y_sym < 0).any())
+        y_codes = y_sym @ radix
+        byte, bit = y_codes >> 3, (1 << (y_codes & 7)).astype(np.uint8)
+        if off_support or (seen[byte] & bit).any() or np.unique(y_codes).size < y_codes.size:
+            bijective = False
+        np.bitwise_or.at(seen, byte, bit)
+        pushforward_ok &= not off_support
+        classes = (map(tuple, np.sort(sym, axis=1).tolist()) for sym in (x_sym, y_sym))
+        finals = finals.astype(np.int64).tolist() if chunked else finals
+        for x_class, y_class, final in zip(*classes, finals):
+            pushforward_ok &= x_class == y_class or class_prob(x_class) == class_prob(y_class)
+            class_sums[x_class] = class_sums.get(x_class, 0) + final
+    sum_image = sum(class_prob(key) * total for key, total in class_sums.items()) / scale
     return VerifyResult(
         mode="exhaustive",
         strategy=alg.describe(),
-        cases=len(atoms),
-        dominance_violations=dom_bad,
-        permutation_violations=perm_bad,
-        inversion_failures=inv_bad,
-        bijective=len(image_keys) == len(atoms),
+        cases=count,
+        dominance_violations=bad[0],
+        permutation_violations=bad[1],
+        inversion_failures=bad[2],
+        bijective=bijective,
         pushforward_ok=pushforward_ok,
         coupling_expectation_equal=sum_image == sum_direct,
     )
@@ -709,37 +739,44 @@ def verify_mc(model: Model, s: Schedule, alg: Strategy, reps: int,
     `checks` selects the layers to run per realization: "dominance"
     (pairwise and headline inequalities), "permutation" (block structure
     with the history-measurability recomputation) and "inversion" (full
-    round trip).  Strategies with a batched rule are coupled and audited a
+    round trip).  Strategies with a `RankRule` are coupled and audited a
     whole chunk at a time (`couple_chunk`, `audit_chunk`); others take the
     per-realization walk.  The measure-theoretic checks need an enumerable
     space and are reported as vacuously true here.
     """
-    audit = _audit_chunk if has_batched_rule(alg) else _audit_rows
-    dom_bad = perm_bad = inv_bad = 0
+    bad = [0, 0, 0]
     count = 0
     for _, inc in sample_replications(model, s.N, s.T, reps, seed):
-        d, p, i = audit(inc, s, alg, checks)
-        dom_bad += d
-        perm_bad += p
-        inv_bad += i
+        verdicts = _audit(inc, s, alg, checks, has_batched_rule(alg))[0]
+        bad = [n + int(np.count_nonzero(v)) for n, v in zip(bad, verdicts)]
         count += inc.shape[0]
     return VerifyResult(
         mode="mc",
         strategy=alg.describe(),
         cases=count,
-        dominance_violations=dom_bad,
-        permutation_violations=perm_bad,
-        inversion_failures=inv_bad,
+        dominance_violations=bad[0],
+        permutation_violations=bad[1],
+        inversion_failures=bad[2],
         bijective=True,
         pushforward_ok=True,
         coupling_expectation_equal=True,
     )
 
 
-def _audit_chunk(inc: np.ndarray, s: Schedule, alg: Strategy,
-                 checks: tuple[str, ...]) -> tuple[int, int, int]:
-    c = couple_chunk(inc, s, alg, invert="inversion" in checks)
-    return tuple(int(np.count_nonzero(bad)) for bad in audit_chunk(c, s, alg, checks))
+def _audit(inc: np.ndarray, s: Schedule, alg: Strategy, checks: tuple[str, ...],
+           chunked: bool) -> tuple:
+    """Couple and audit every row of an increment chunk: the (dominance,
+    permutation, inversion) failure masks, Y's increments, and the final
+    values of the strategy on X and of greedy on Y; the whole chunk at once
+    (`chunked`, for a `RankRule`) or row by row through `_audit_case`."""
+    if chunked:
+        c = couple_chunk(inc, s, alg, invert="inversion" in checks)
+        return audit_chunk(c, s, alg, checks), c.y_inc, c.alg_final, c.greedy_final
+    cases = [_audit_case(PathEnsemble.from_increment_rows(rows), s, alg, checks)
+             for rows in inc.tolist()]
+    return (np.array([case[1:] for case in cases], dtype=bool).T,
+            np.array([case[0].y.increments for case in cases], dtype=inc.dtype),
+            [case[0].alg_final for case in cases], [case[0].greedy_final for case in cases])
 
 
 def _audit_case(x: PathEnsemble, s: Schedule, alg: Strategy,
@@ -752,17 +789,6 @@ def _audit_case(x: PathEnsemble, s: Schedule, alg: Strategy,
     perm_bad = "permutation" in checks and not check_block_permutation(w, s, alg).ok
     inv_bad = "inversion" in checks and invert_alignment(w.y, s, alg) != x
     return w, dom_bad, perm_bad, inv_bad
-
-
-def _audit_rows(inc: np.ndarray, s: Schedule, alg: Strategy,
-                checks: tuple[str, ...]) -> tuple[int, int, int]:
-    """Violation counts (dominance, permutation, inversion) of a chunk,
-    one realization at a time through `_audit_case`."""
-    counts = [0, 0, 0]
-    for r in range(inc.shape[0]):
-        x = PathEnsemble.from_increment_rows(inc[r].tolist(), model_tag="mc")
-        counts = [n + bad for n, bad in zip(counts, _audit_case(x, s, alg, checks)[1:])]
-    return tuple(counts)
 
 
 # ---------------------------------------------------------------------------

@@ -303,8 +303,8 @@ class PathEnsemble:
     `increments[i][t]` is the step from time t to t+1; `values[i]` is the
     running sum of row i prefixed with the mandatory 0 start.  The pair is
     kept consistent by construction: build instances through
-    `from_increment_rows` or `from_value_rows`.  Equality compares the
-    grids; seed and model tag are provenance only.
+    `from_increment_rows`.  Equality compares the grids; seed and model tag
+    are provenance only.
     """
 
     values: tuple[tuple[Number, ...], ...]
@@ -334,27 +334,6 @@ class PathEnsemble:
         inc = tuple(tuple(r) for r in rows)
         vals = tuple(_running_sums(r) for r in inc)
         return PathEnsemble(values=vals, increments=inc, seed=seed, model_tag=model_tag)
-
-    @staticmethod
-    def from_value_rows(
-        rows: Sequence[Sequence[Number]],
-        seed: int | None = None,
-        model_tag: str = "",
-    ) -> "PathEnsemble":
-        """Build from a value grid.  Rows must start at 0; values are
-        re-canonicalized as running sums of their own differences, which is
-        the identity for exact (int/Fraction) data and an at-most-ulp-level
-        adjustment for floats."""
-        if not rows or len(rows[0]) < 2:
-            raise InvalidDimensions("need at least one process and one step")
-        if any(r[0] != 0 for r in rows):
-            raise InvalidDimensions("every path must start at 0")
-        inc = [[r[t] - r[t - 1] for t in range(1, len(r))] for r in rows]
-        return PathEnsemble.from_increment_rows(inc, seed=seed, model_tag=model_tag)
-
-    def key(self) -> tuple:
-        """Hashable identity of the value grid (used for atom lookups)."""
-        return self.values
 
 
 # ---------------------------------------------------------------------------

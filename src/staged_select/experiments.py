@@ -10,7 +10,7 @@ Comparisons use common random numbers: every strategy is evaluated on the
 same sampled ensembles, and differences are reported as paired statistics
 against greedy.
 
-Strategies with a batched rule (`selection_engine.batched_stage`, the
+Strategies with a `RankRule` (`selection_engine.batched_stage`, the
 whole catalog) run through one stage loop per chunk, which yields both the
 final values and the per-stage survivor means; anything else falls back to
 the per-realization engine.  A test pins the two engines to bit-identical
@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -113,12 +113,6 @@ class _Welford:
         self.m2 += m2 + delta * delta * self.count * n / total
         self.count = total
 
-    def absorb_array(self, xs: np.ndarray) -> None:
-        n = int(xs.size)
-        mean = float(np.mean(xs))
-        m2 = float(np.sum((xs - mean) ** 2))
-        self.absorb(n, mean, m2)
-
     @property
     def stddev(self) -> float:
         if self.count < 2:
@@ -130,6 +124,13 @@ class _Welford:
         if self.count < 2:
             return 0.0
         return self.stddev / math.sqrt(self.count)
+
+
+def _require_finite(*stats: float) -> None:
+    # finite paths can overflow the chunk variance sums, and inf/NaN
+    # chunk statistics make the reduced ones non-finite too
+    if not all(map(math.isfinite, stats)):
+        raise ConfigInvalid("model: Monte Carlo statistics overflow to non-finite values")
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +153,7 @@ def mc_estimate(model: Model, s: Schedule, alg: Strategy, reps: int,
     if reps < 2:
         raise InvalidReps(f"need at least 2 replications, got {reps}")
 
+    @np.errstate(over="ignore", invalid="ignore")  # reported below
     def work(spec: tuple[int, int]):
         c, take = spec
         inc = sample_chunk(model, s.N, s.T, seed, c)[:take]
@@ -162,12 +164,14 @@ def mc_estimate(model: Model, s: Schedule, alg: Strategy, reps: int,
     for n, mean, m2 in _map_ordered(work, replication_plan(reps), threads):
         acc.absorb(n, mean, m2)
     se = acc.stderr
+    ci95 = (acc.mean - 1.96 * se, acc.mean + 1.96 * se)
+    _require_finite(acc.mean, se, *ci95)
     return McResult(
         strategy=alg.describe(),
         replications=reps,
         mean=acc.mean,
         stderr=se,
-        ci95=(acc.mean - 1.96 * se, acc.mean + 1.96 * se),
+        ci95=ci95,
         seed=seed,
     )
 
@@ -219,7 +223,7 @@ def compare_strategies(model: Model, s: Schedule, catalog: list[Strategy],
     better).  With `coupled=True` each replication additionally runs the
     alignment coupling per strategy and counts pathwise violations of
     strategy-on-X exceeding greedy-on-image; expect zero.  Strategies with
-    a batched rule are coupled a whole chunk at a time; others take the
+    a `RankRule` are coupled a whole chunk at a time; others take the
     much slower per-realization walk.
     """
     if not catalog:
@@ -231,6 +235,7 @@ def compare_strategies(model: Model, s: Schedule, catalog: list[Strategy],
         algs.insert(0, greedy_strategy())
     greedy_pos = next(i for i, a in enumerate(algs) if a.name == "greedy")
 
+    @np.errstate(over="ignore", invalid="ignore")  # reported below
     def work(spec: tuple[int, int]):
         c, take = spec
         inc = sample_chunk(model, s.N, s.T, seed, c)[:take]
@@ -287,6 +292,7 @@ def compare_strategies(model: Model, s: Schedule, catalog: list[Strategy],
             paired_stderr=da.stderr,
             coupled_violations=coupled_totals[ai] if coupled else None,
         ))
+        _require_finite(*astuple(rows[-1])[2:8], *(stage_sums[ai] if has_batched_rule(a) else ()))
     stage_rows = []
     for ai, a in enumerate(algs):
         for jj in range(s.stages):

@@ -37,10 +37,8 @@ from .core_model import (
     ENUMERATION_CAP,
     Model,
     Number,
-    PathEnsemble,
     Rademacher,
     Schedule,
-    enumerate_paths,
 )
 from .errors import (
     ConfigInvalid,
@@ -386,81 +384,6 @@ def exhaustive_strategy_search(
         strategy_space_size=strategy_space,
         decision_histories=visited,
     )
-
-
-def literal_profile_search(
-    model: Model, s: Schedule, profile_cap: int = 100_000
-) -> tuple[Fraction, int]:
-    """Brute-force maximum over literally enumerated strategy profiles.
-
-    A profile assigns one legal subset to every reachable decision history
-    (keyed by the raw visible state: survivor paths up to the current time,
-    eliminated paths frozen at their elimination time).  Only feasible on
-    tiny instances; exists to validate that the pointwise tree search above
-    really equals the maximum over whole strategy maps.
-    Returns (best value, number of profiles evaluated).
-    """
-    disc = _require_discrete_independent(model)
-    atoms = enumerate_paths(disc, s.N, s.T)
-    sizes = s.sizes
-    k = s.stages
-
-    def visible_key(x: PathEnsemble, j: int, survivors: tuple[int, ...],
-                    horizons: dict[int, int]) -> tuple:
-        t_j = s.times[j - 1]
-        paths = tuple(
-            x.values[i][: (t_j if i in survivors else horizons[i]) + 1]
-            for i in range(s.N)
-        )
-        return (j, paths, survivors)
-
-    histories: dict[tuple, list[tuple[int, ...]]] = {}
-
-    def explore(x: PathEnsemble, j: int, survivors: tuple[int, ...],
-                horizons: dict[int, int]) -> None:
-        key = visible_key(x, j, survivors, horizons)
-        if key not in histories:
-            histories[key] = list(itertools.combinations(survivors, sizes[j - 1]))
-        if j == k:
-            return
-        t_j = s.times[j - 1]
-        for chosen in histories[key]:
-            new_horizons = dict(horizons)
-            for i in survivors:
-                if i not in chosen:
-                    new_horizons[i] = t_j
-            explore(x, j + 1, chosen, new_horizons)
-
-    for x, _ in atoms:
-        explore(x, 1, tuple(range(s.N)), {})
-
-    keys = sorted(histories, key=repr)
-    n_profiles = 1
-    for key in keys:
-        n_profiles *= len(histories[key])
-    if n_profiles > profile_cap:
-        raise SearchTooLarge(n_profiles, profile_cap)
-
-    best: Fraction | None = None
-    for profile in itertools.product(*(histories[key] for key in keys)):
-        choice_of = dict(zip(keys, profile))
-        total = Fraction(0)
-        for x, prob in atoms:
-            survivors = tuple(range(s.N))
-            horizons: dict[int, int] = {}
-            for j in range(1, k + 1):
-                key = visible_key(x, j, survivors, horizons)
-                chosen = choice_of[key]
-                t_j = s.times[j - 1]
-                for i in survivors:
-                    if i not in chosen:
-                        horizons[i] = t_j
-                survivors = chosen
-            total += prob * x.values[survivors[0]][s.T]
-        if best is None or total > best:
-            best = total
-    assert best is not None
-    return best, n_profiles
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,12 @@ elimination time) and must return exactly n_j of the current survivors.
 The run records survivor sets, the temporal index bookkeeping, and the final
 selected value.
 
+Each catalog strategy is defined once, as a `RankRule`: an array score
+over grids cut at t_j and a keep rule.  `Strategy.select` evaluates it on
+the view's candidates (one row), `batched_stage` on a whole chunk of
+realizations; strategies with any other chooser run on the scalar engine
+only.
+
 One global tie-break rule is used for every ranking in the package: higher
 value wins, and equal values are ordered by smaller process id.  Consistency
 of this rule across ranking, greedy selection, and alignment pairing is what
@@ -51,21 +57,6 @@ def ranked_columns(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.argsort(np.where(mask, -scores, np.nan), axis=1, kind="stable")
 
 
-def rank_desc(values: Sequence[Number]) -> list[int]:
-    """Rank positions of a value list, 1 = largest, ties to the earlier entry.
-
-    >>> rank_desc([3.0, 1.0, 2.0])
-    [1, 3, 2]
-    """
-    if not values:
-        raise ValueError("cannot rank an empty list")
-    order = ranked_ids(range(len(values)), lambda i: values[i])
-    ranks = [0] * len(values)
-    for pos, i in enumerate(order, start=1):
-        ranks[i] = pos
-    return ranks
-
-
 # ---------------------------------------------------------------------------
 # history views
 # ---------------------------------------------------------------------------
@@ -95,10 +86,6 @@ class HistoryView:
     def final_time(self) -> int:
         return self.times[-1]
 
-    @property
-    def previous_time(self) -> int:
-        return 0 if self.stage == 1 else self.times[self.stage - 2]
-
     def horizon(self, i: int) -> int:
         return self._horizons[i]
 
@@ -117,10 +104,6 @@ class HistoryView:
         """Visible step increments of process i (one per observed step)."""
         return self._increments[i][: self._horizons[i]]
 
-    def current_values(self) -> list[tuple[int, Number]]:
-        """(id, value at t_j) for every current survivor."""
-        return [(i, self._values[i][self.time]) for i in self.survivors]
-
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -132,7 +115,8 @@ class Strategy:
 
     Randomized strategies carry an auxiliary seed and are deterministic
     given it; `deterministic` is False only for intentionally ill-behaved
-    strategies used to exercise the alignment guard.
+    strategies used to exercise the alignment guard.  A chooser that is a
+    `RankRule` also runs on whole chunks (`batched_stage`).
     """
 
     name: str
@@ -149,58 +133,77 @@ class Strategy:
         return self.name
 
 
-def _top(view: HistoryView, size: int) -> list[int]:
-    order = ranked_ids(view.survivors, lambda i: view.value_at(i, view.time))
-    return order[:size]
+@dataclass(frozen=True)
+class RankRule:
+    """A strategy defined once, as a ranking rule that the scalar engine
+    (`Strategy.select`) and the batched one (`batched_stage`) both evaluate.
+
+    `score(j, times, n_processes, values, increments, ids)` maps grids cut
+    at t_j -- values (rows, k, t_j + 1) and increments (rows, k, t_j) whose
+    k columns are the processes `ids` -- to (rows, k) or (1, k) scores.
+    Candidates are ranked by score with the package tie rule, and the rule
+    keeps the top n_j, or with `sabotage` the bottom n_j at every stage but
+    the last.  Exhaustive verification ranks support-scaled integer grids,
+    so a score must order scaled grids as it orders the originals (each
+    catalog score is positively homogeneous in the paths or ignores them).
+    """
+
+    score: Callable[..., np.ndarray]
+    sabotage: bool = False
+
+    def kept(self, n_alive: int, n_j: int, last: bool) -> slice:
+        """The kept positions of a best-first order of n_alive candidates."""
+        return slice(n_alive - n_j, n_alive) if self.sabotage and not last else slice(n_j)
+
+    def __call__(self, view: HistoryView, size: int) -> list[int]:
+        # one row of the candidates' grids as exact objects: a candidate is
+        # visible up to t_j, so its path and steps split at column t_j + 1
+        ids = sorted(view.survivors)
+        grid = np.array([[view.path(i) + view.step_increments(i) for i in ids]], dtype=object)
+        values, increments = grid[..., :view.time + 1], grid[..., view.time + 1:]
+        scores = self.score(view.stage, view.times, view.n_processes, values, increments, ids)
+        order = ranked_ids(range(len(ids)), scores[0].tolist().__getitem__)
+        return [ids[c] for c in order[self.kept(len(ids), size, view.stage == len(view.times))]]
+
+
+def _current_value(j, times, n_processes, values, increments, ids):
+    return values[..., times[j - 1]]
+
+
+def _lagged_value(j, times, n_processes, values, increments, ids):
+    # the previous observation time; at stage 1 that is time 0, where all
+    # values are 0, so the tie rule keeps the smallest ids
+    return values[..., 0 if j == 1 else times[j - 2]]
+
+
+def _drift_aware_score(j, times, n_processes, values, increments, ids):
+    # current value + estimated mean step * remaining steps; the step
+    # location estimate is the midrange of the process's own observed
+    # increments, which is efficient for bounded noise and collapses the
+    # strategy to greedy when no steps remain
+    t_j = times[j - 1]
+    v = values[..., t_j]
+    remaining = times[-1] - t_j
+    if remaining == 0:
+        return v
+    # column by column: a numpy min/max over a short last axis is ~5x slower
+    lo = hi = increments[..., 0]
+    for c in range(1, t_j):
+        lo = np.minimum(lo, increments[..., c])
+        hi = np.maximum(hi, increments[..., c])
+    return v + remaining * ((lo + hi) / 2)
 
 
 def greedy_strategy() -> Strategy:
     """Keep the survivors with the best current values.  Memoryless: only
     values at the current observation time enter the decision."""
-    return Strategy(name="greedy", chooser=_top)
-
-
-def _anti_greedy(view: HistoryView, size: int) -> list[int]:
-    # sabotage every cut by keeping the worst-ranked survivors, but report
-    # the best remaining one at the terminal stage (the output pick is not
-    # part of the sabotage)
-    order = ranked_ids(view.survivors, lambda i: view.value_at(i, view.time))
-    if view.stage == len(view.times):
-        return order[:size]
-    return order[len(order) - size:]
-
-
-def _lagged_greedy(view: HistoryView, size: int) -> list[int]:
-    # ranks by the previous observation time; at stage 1 that is time 0,
-    # where all values are 0, so the tie rule keeps the smallest ids
-    t_prev = view.previous_time
-    order = ranked_ids(view.survivors, lambda i: view.value_at(i, t_prev))
-    return order[:size]
-
-
-def _drift_aware(view: HistoryView, size: int) -> list[int]:
-    # score = current value + estimated mean step * remaining steps; the
-    # step-location estimate is the midrange of the process's own observed
-    # increments, which is efficient for bounded noise and collapses the
-    # strategy to greedy when no steps remain
-    remaining = view.final_time - view.time
-
-    def score(i: int) -> Number:
-        v = view.value_at(i, view.time)
-        if remaining == 0:
-            return v
-        steps = view.step_increments(i)
-        est = (min(steps) + max(steps)) / 2
-        return v + remaining * est
-
-    return ranked_ids(view.survivors, score)[:size]
+    return Strategy(name="greedy", chooser=RankRule(_current_value))
 
 
 @lru_cache(maxsize=64)
-def _priority_table(aux_seed: int, stages: int, n_processes: int) -> tuple[tuple[float, ...], ...]:
+def _priority_table(aux_seed: int, stages: int, n_processes: int) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=aux_seed, spawn_key=(0x5EED,)))
-    table = rng.random((stages, n_processes))
-    return tuple(tuple(float(x) for x in row) for row in table)
+    return rng.random((stages, n_processes))
 
 
 def random_fixed_strategy(aux_seed: int) -> Strategy:
@@ -212,21 +215,22 @@ def random_fixed_strategy(aux_seed: int) -> Strategy:
     strategy deterministic and recomputable from any history prefix.
     """
 
-    def choose(view: HistoryView, size: int) -> list[int]:
-        table = _priority_table(aux_seed, len(view.times), view.n_processes)
-        row = table[view.stage - 1]
-        return ranked_ids(view.survivors, row.__getitem__)[:size]
+    def priority(j, times, n_processes, values, increments, ids):
+        # one row of scores, broadcast over the rows of the grids
+        return _priority_table(aux_seed, len(times), n_processes)[None, j - 1, ids]
 
-    return Strategy(name="random_fixed", chooser=choose, aux_seed=aux_seed)
+    return Strategy(name="random_fixed", chooser=RankRule(priority), aux_seed=aux_seed)
 
 
 def baseline_strategies(aux_seed: int = 2024) -> dict[str, Strategy]:
-    """The comparison catalog: everything here is deterministic and legal."""
+    """The comparison catalog: everything here is deterministic and legal.
+    `anti_greedy` sabotages every cut by keeping the worst-ranked
+    survivors, but reports the best remaining one at the terminal stage."""
     return {
-        "anti_greedy": Strategy(name="anti_greedy", chooser=_anti_greedy),
+        "anti_greedy": Strategy(name="anti_greedy", chooser=RankRule(_current_value, sabotage=True)),
         "random_fixed": random_fixed_strategy(aux_seed),
-        "lagged_greedy": Strategy(name="lagged_greedy", chooser=_lagged_greedy),
-        "drift_aware": Strategy(name="drift_aware", chooser=_drift_aware),
+        "lagged_greedy": Strategy(name="lagged_greedy", chooser=RankRule(_lagged_value)),
+        "drift_aware": Strategy(name="drift_aware", chooser=RankRule(_drift_aware_score)),
     }
 
 
@@ -234,76 +238,27 @@ def full_catalog(aux_seed: int = 2024) -> list[Strategy]:
     return [greedy_strategy(), *baseline_strategies(aux_seed).values()]
 
 
-# ---------------------------------------------------------------------------
-# batched stage rule
-# ---------------------------------------------------------------------------
-
-def _current_values(alg, s, j, values, increments):
-    return values[:, :, s.times[j - 1]]
-
-
-def _lagged_values(alg, s, j, values, increments):
-    return values[:, :, s.previous_time(j)]
-
-
-def _priority_scores(alg, s, j, values, increments):
-    row = np.array(_priority_table(alg.aux_seed, s.stages, s.N)[j - 1])
-    return np.broadcast_to(row, values.shape[:2])
-
-
-def _drift_aware_scores(alg, s, j, values, increments):
-    t_j = s.times[j - 1]
-    v = values[:, :, t_j]
-    remaining = s.T - t_j
-    if remaining == 0:
-        return v
-    # column by column: a numpy min/max over a short last axis is ~5x slower
-    lo = hi = increments[:, :, 0]
-    for c in range(1, t_j):
-        lo = np.minimum(lo, increments[:, :, c])
-        hi = np.maximum(hi, increments[:, :, c])
-    return v + remaining * ((lo + hi) / 2)
-
-
-# the catalog choosers as array rules over a (reps, N, time) chunk; each
-# score matches the scalar chooser's ranking key bit for bit
-_BATCHED_SCORES = {
-    "greedy": _current_values,
-    "anti_greedy": _current_values,
-    "lagged_greedy": _lagged_values,
-    "random_fixed": _priority_scores,
-    "drift_aware": _drift_aware_scores,
-}
-
-
 def has_batched_rule(alg: Strategy) -> bool:
     """Whether `batched_stage` can run this strategy on whole chunks."""
-    return alg.name in _BATCHED_SCORES
+    return isinstance(alg.chooser, RankRule)
 
 
 def batched_stage(alg: Strategy, s: Schedule, j: int, values: np.ndarray,
                   increments: np.ndarray, alive: np.ndarray) -> np.ndarray:
-    """Stage j of the strategy on every row of a chunk at once.
+    """Stage j of the strategy's `RankRule` on every row of a chunk at once.
 
-    `values` (reps, N, >= t_j + 1) and `increments` (reps, N, >= t_j) are
-    the grids, `alive` (reps, N) the candidate mask; returns the survivor
-    mask.  Callers pass grids that end at t_j, so the rule cannot read the
-    future.  Only strategies with `has_batched_rule` are accepted; rows
-    are ranked with the package tie rule via `ranked_columns`.
+    `values` (reps, N, t_j + 1) and `increments` (reps, N, t_j) are the
+    grids cut at t_j, so the rule cannot read the future; `alive` (reps, N)
+    is the candidate mask.  Returns the survivor mask.  Rows are ranked
+    with the package tie rule via `ranked_columns`.
     """
     if not has_batched_rule(alg):
         raise KeyError(f"{alg.name} has no batched rule")
-    scores = _BATCHED_SCORES[alg.name](alg, s, j, values, increments)
+    scores = alg.chooser.score(j, s.times, s.N, values, increments, np.arange(s.N))
     order = ranked_columns(scores, alive)
-    n_j = s.sizes[j - 1]
-    if alg.name == "anti_greedy" and j < s.stages:
-        # keep the worst-ranked n_j of the alive candidates
-        n_alive = s.N if j == 1 else s.sizes[j - 2]
-        keep = order[:, n_alive - n_j:n_alive]
-    else:
-        keep = order[:, :n_j]
+    keep = alg.chooser.kept(s.N if j == 1 else s.sizes[j - 2], s.sizes[j - 1], j == s.stages)
     out = np.zeros_like(alive)
-    np.put_along_axis(out, keep, True, axis=1)
+    np.put_along_axis(out, order[:, keep], True, axis=1)
     return out
 
 

@@ -4,15 +4,17 @@ measure preservation, and inversion."""
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalar_reference
 import staged_select as ss
 from staged_select import alignment
-from staged_select.alignment import ALL_CHECKS, _audit_rows, audit_chunk, couple_chunk
+from staged_select.alignment import ALL_CHECKS, audit_chunk, couple_chunk
 from staged_select.errors import DimensionMismatch, NonDeterministicStrategy
 
 SCHEDULE_A = ss.validate_schedule([1, 2], [2, 1], N=3, T=2)
@@ -281,6 +283,16 @@ def test_batched_coupling_matches_scalar_on_every_atom(name, model, s):
         assert_chunk_matches_scalar(inc, s, strat, invert=False)
 
 
+def _audit_rows(inc, s, alg, checks):
+    """Violation counts (dominance, permutation, inversion) of a chunk, one
+    realization at a time through the scalar `_audit_case`."""
+    counts = [0, 0, 0]
+    for r in range(inc.shape[0]):
+        x = ss.PathEnsemble.from_increment_rows(inc[r].tolist())
+        counts = [n + bad for n, bad in zip(counts, alignment._audit_case(x, s, alg, checks)[1:])]
+    return tuple(counts)
+
+
 def test_batched_verify_mc_equals_scalar_loop():
     s = SCHEDULE_U
     model = ss.gaussian(0.5, 2)
@@ -398,3 +410,131 @@ def test_audit_runs_only_selected_checks():
     assert c.x_back_inc is None and c.x_back_val is None
     dom, perm, inv = audit_chunk(c, s, anti, checks=("dominance",))
     assert not dom.any() and not perm.any() and not inv.any()
+
+
+# --- exhaustive verification on atom chunks ------------------------------------------
+
+HAND_GREEDY = ss.Strategy(name="greedy", chooser=scalar_reference.top)
+
+
+@lru_cache(maxsize=None)
+def _greedy_sum_over_atoms(model, s):
+    return sum(p * ss.run_selection(x, s, HAND_GREEDY).final_value
+               for x, p in ss.enumerate_paths(model, s.N, s.T))
+
+
+def _verify_exhaustive_reference(model, s, alg, monkeypatch):
+    """The per-atom scalar audit, with the hand-written choosers for the
+    strategy and for greedy: every enumerated atom through `_audit_case`,
+    images looked up among the atoms, both sides of the identity summed
+    atom by atom."""
+    atoms = ss.enumerate_paths(model, s.N, s.T)
+    prob_of = {x.values: p for x, p in atoms}
+    counts = [0, 0, 0]
+    images = set()
+    pushforward_ok = True
+    sum_image = 0
+    with monkeypatch.context() as m:
+        m.setattr(alignment, "greedy_strategy", lambda: HAND_GREEDY)
+        for x, p in atoms:
+            w, *bad = alignment._audit_case(x, s, alg)
+            counts = [n + b for n, b in zip(counts, bad)]
+            images.add(w.y.values)
+            pushforward_ok &= prob_of.get(w.y.values) == p
+            sum_image += p * w.greedy_final
+    return ss.VerifyResult(
+        mode="exhaustive", strategy=alg.describe(), cases=len(atoms),
+        dominance_violations=counts[0], permutation_violations=counts[1],
+        inversion_failures=counts[2], bijective=len(images) == len(atoms),
+        pushforward_ok=pushforward_ok,
+        coupling_expectation_equal=sum_image == _greedy_sum_over_atoms(model, s),
+    )
+
+
+# support with denominators: the chunk audit runs on the support times 6
+SCALED = ("H", ss.discrete(["1/2", "-1/3"], ["2/5", "3/5"]),
+          ss.validate_schedule([1, 3], [2, 1], N=3, T=3))
+# past the float64 guard: must take the per-atom fallback
+HUGE = ("G", ss.discrete([2 ** 60, -1], ["1/2", "1/2"]), SCHEDULE_A)
+KEEP_WORST = ss.Strategy(
+    name="keep_worst",
+    chooser=lambda v, n: sorted(v.survivors, key=lambda i: (v.value_at(i, v.time), i))[:n],
+)
+
+
+def _count_chunk_couplings(monkeypatch):
+    calls = []
+    real = alignment.couple_chunk
+
+    def counted(inc, s, alg, invert=True):
+        calls.append(inc.shape[0])
+        return real(inc, s, alg, invert)
+
+    monkeypatch.setattr(alignment, "couple_chunk", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,model,s", INSTANCES + [SCALED],
+                         ids=[i[0] for i in INSTANCES] + ["H"])
+def test_exhaustive_chunk_audit_equals_per_atom_reference(name, model, s, monkeypatch):
+    calls = _count_chunk_couplings(monkeypatch)
+    for strat, hand_written in zip(ss.full_catalog(), scalar_reference.reference_catalog()):
+        res = ss.verify_exhaustive(model, s, strat)
+        assert res == _verify_exhaustive_reference(model, s, hand_written, monkeypatch), name
+        assert res.ok
+    # every catalog strategy took the chunk audit, in chunks of at most 4096 atoms
+    disc = model.as_discrete() if isinstance(model, ss.Rademacher) else model
+    count = len(disc.support) ** (s.N * s.T)
+    assert sum(calls) == 5 * count and max(calls) <= ss.REPLICATION_CHUNK
+
+
+@pytest.mark.parametrize("name,model,s,strat", [
+    (*HUGE, ANTI),
+    (*HUGE, KEEP_WORST),
+    (*INSTANCES[1], KEEP_WORST),
+    (*SCALED, KEEP_WORST),
+], ids=["huge-anti", "huge-keep_worst", "B-keep_worst", "H-keep_worst"])
+def test_exhaustive_fallback_equals_per_atom_reference(name, model, s, strat, monkeypatch):
+    calls = _count_chunk_couplings(monkeypatch)
+    res = ss.verify_exhaustive(model, s, strat)
+    assert calls == []  # atom by atom, in exact rationals
+    assert res == _verify_exhaustive_reference(model, s, strat, monkeypatch) and res.ok
+
+
+def _plant(monkeypatch, edit):
+    """Corrupt the chunk coupling that `verify_exhaustive` reads."""
+    def corrupted(inc, s, alg, invert=True):
+        c = couple_chunk(inc, s, alg, invert)
+        y_inc, y_val = c.y_inc.copy(), c.y_val.copy()
+        edit(y_inc, y_val)
+        return replace(c, y_inc=y_inc, y_val=y_val)
+
+    monkeypatch.setattr(alignment, "couple_chunk", corrupted)
+
+
+def test_exhaustive_accounting_catches_planted_faults(monkeypatch):
+    model, s = INSTANCES[1][1], INSTANCES[1][2]   # B: uneven probabilities
+    assert ss.verify_exhaustive(model, s, ANTI).ok
+
+    def duplicate(y_inc, y_val):     # atom 0's image repeats atom 1's
+        y_inc[0], y_val[0] = y_inc[1], y_val[1]
+
+    def off_support(y_inc, y_val):   # an image step that no atom has
+        y_inc[5, 0, 1] = 7.0
+
+    def reweigh(y_inc, y_val):       # an image step flipped to the other symbol
+        y_inc[5, 0, 1] = -y_inc[5, 0, 1]
+
+    def richer(y_inc, y_val):        # greedy's final value on one image grows
+        y_val[9, :, -1] += 1.0
+
+    # each fault must clear its own flag; `richer` leaves the image map alone
+    cleared = [(duplicate, {"bijective"}), (off_support, {"bijective", "pushforward_ok"}),
+               (reweigh, {"pushforward_ok"}), (richer, {"coupling_expectation_equal"})]
+    for edit, flags in cleared:
+        _plant(monkeypatch, edit)
+        res = ss.verify_exhaustive(model, s, ANTI)
+        assert not any(getattr(res, flag) for flag in flags), edit.__name__
+        if edit is richer:
+            assert res.bijective and res.pushforward_ok
+        assert not res.ok

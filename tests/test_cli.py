@@ -437,6 +437,39 @@ def test_compare_and_drift_overflowing_paths_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+WIDE_GAUSSIAN = {"kind": "gaussian", "mean": 0, "stddev": 1e200}
+
+
+def test_compare_overflowing_statistics_exit_2(tmp_path, capsys):
+    # the paths are finite, but their squared deviations overflow float64
+    doc = dict(INSTANCE_A, model=WIDE_GAUSSIAN, strategies=["greedy", "anti_greedy"],
+               reps=50, seed=1)
+    for fmt in ("json", "csv"):
+        assert run(["compare", "--config", write_config(tmp_path, doc), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: model: Monte Carlo statistics overflow to non-finite values\n"
+
+
+def test_drift_overflowing_statistics_exit_2(tmp_path, capsys):
+    model = {"kind": "drift", "base": WIDE_GAUSSIAN, "drift_support": [1, -1],
+             "drift_probs": ["1/2", "1/2"]}
+    doc = dict(INSTANCE_A, model=model, reps=50, seed=1)
+    assert run(["drift", "--config", write_config(tmp_path, doc), "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "non-finite" in captured.err
+
+
+def test_compare_and_drift_finite_statistics_still_exit_0(tmp_path, capsys):
+    doc = dict(INSTANCE_A, model={"kind": "gaussian", "mean": 0, "stddev": 1e100},
+               strategies=["greedy", "anti_greedy"], reps=50, seed=1)
+    assert run(["compare", "--config", write_config(tmp_path, doc), "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert all(isinstance(r["stderr"], float) and r["stderr"] > 0 for r in rows)
+    assert run(["drift", "--reps", "50", "--seed", "1", "--format", "json"]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []])
 def test_compare_coupled_must_be_boolean(tmp_path, capsys, value):
     doc = dict(INSTANCE_A, strategies=["greedy", "anti_greedy"], reps=50, seed=1,

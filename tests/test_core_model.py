@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import staged_select as ss
+from scalar_reference import from_value_rows
 from staged_select.errors import (
     ConfigInvalid,
     EnumerationTooLarge,
@@ -106,7 +107,7 @@ def test_paths_start_at_zero_and_stay_consistent():
 
 def test_from_value_rows_requires_zero_start():
     with pytest.raises(InvalidDimensions):
-        ss.PathEnsemble.from_value_rows([[1, 2]])
+        from_value_rows([[1, 2]])
 
 
 # --- sampling --------------------------------------------------------------
@@ -227,7 +228,7 @@ def test_enumeration_counts_and_probabilities():
     assert len(atoms) == 64
     assert all(p == Fraction(1, 64) for _, p in atoms)
     assert sum(p for _, p in atoms) == 1
-    keys = {x.key() for x, _ in atoms}
+    keys = {x.values for x, _ in atoms}
     assert len(keys) == 64
 
 

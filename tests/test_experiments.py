@@ -1,6 +1,8 @@
 """Monte Carlo estimation, paired comparison, and the dependence
 experiment."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -217,3 +219,42 @@ def test_compare_coupled_counts_match_scalar_witnesses():
         assert plain_row.coupled_violations is None
         assert row.mean == plain_row.mean
     assert repr(t.stage_rows) == repr(plain.stage_rows)  # keep_worst rows are NaN
+
+
+# --- strategies are dispatched on their chooser, never on their name ------------
+
+def _keep_worst(calls):
+    def choose(view, size):
+        calls.append(view.stage)
+        return sorted(view.survivors, key=lambda i: (view.value_at(i, view.time), i))[:size]
+    return choose
+
+
+def test_custom_strategy_named_greedy_runs_its_own_chooser():
+    s = ss.validate_schedule([1, 3, 5], [4, 2, 1], N=6, T=5)
+    calls = []
+    impostor = ss.Strategy(name="greedy", chooser=_keep_worst(calls))
+    honest = ss.Strategy(name="keep_worst", chooser=_keep_worst([]))
+    mine = ss.mc_estimate(GAUSS, s, impostor, reps=500, seed=2)
+    ref = ss.mc_estimate(GAUSS, s, honest, reps=500, seed=2)
+    assert calls
+    assert (mine.mean, mine.stderr) == (ref.mean, ref.stderr)
+    assert mine.mean < ss.mc_estimate(GAUSS, s, ss.greedy_strategy(), reps=500, seed=2).mean
+    table = ss.compare_strategies(GAUSS, s, [impostor, honest], reps=500, seed=2)
+    assert table.row("greedy").mean == table.row("keep_worst").mean == ref.mean
+    calls.clear()
+    res = ss.verify_mc(GAUSS, s, impostor, reps=30, seed=3)
+    assert calls and res.ok
+    assert res == replace(ss.verify_mc(GAUSS, s, honest, reps=30, seed=3), strategy="greedy")
+
+
+# --- statistics that overflow ----------------------------------------------------
+
+def test_overflowing_statistics_are_an_input_error():
+    wide = ss.gaussian(0, 1e200)  # finite paths, overflowing squared deviations
+    with pytest.raises(ConfigInvalid, match="non-finite"):
+        ss.mc_estimate(wide, SCHEDULE_A, ss.greedy_strategy(), reps=50, seed=1)
+    with pytest.raises(ConfigInvalid, match="non-finite"):
+        ss.compare_strategies(wide, SCHEDULE_A, ss.full_catalog(), reps=50, seed=1)
+    fine = ss.mc_estimate(ss.gaussian(0, 1e100), SCHEDULE_A, ss.greedy_strategy(), reps=50, seed=1)
+    assert np.isfinite(fine.stderr) and fine.stderr > 0

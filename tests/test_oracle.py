@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import staged_select as ss
+from scalar_reference import literal_profile_search
 from staged_select.errors import (
     ConfigInvalid,
     EnumerationTooLarge,
@@ -195,7 +196,7 @@ def test_search_cap():
 
 def test_literal_profile_search_tiny_instance():
     s = ss.validate_schedule([1], [1], N=2, T=1)
-    best, profiles = ss.literal_profile_search(MODEL_A, s)
+    best, profiles = literal_profile_search(MODEL_A, s)
     res = ss.exhaustive_strategy_search(MODEL_A, s)
     opt, _ = ss.dp_optimal_value(MODEL_A, s)
     assert profiles == 2 ** 4  # four reachable histories, two choices each
@@ -205,7 +206,7 @@ def test_literal_profile_search_tiny_instance():
 def test_literal_profile_search_degenerate():
     s = ss.validate_schedule([1, 2], [2, 1], N=3, T=2)
     model = ss.discrete([0], ["1"])
-    best, profiles = ss.literal_profile_search(model, s)
+    best, profiles = literal_profile_search(model, s)
     assert best == 0
     # one stage-1 history with 3 choices; each choice is a distinct stage-2
     # history with 2 choices: 3 * 2^3 profiles

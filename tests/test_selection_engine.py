@@ -15,12 +15,14 @@ from staged_select.errors import (
     ValueHidden,
 )
 from staged_select.selection_engine import (
+    RankRule,
     StageRecord,
     batched_stage,
     has_batched_rule,
     ranked_columns,
     ranked_ids,
 )
+from scalar_reference import from_value_rows, rank_desc, reference_catalog
 
 SCHEDULE_A = ss.validate_schedule([1, 2], [2, 1], N=3, T=2)
 # the hand-trace realization used across the suite: values at t=1 are
@@ -31,16 +33,16 @@ TRACE_X = ss.PathEnsemble.from_increment_rows([[1, 1], [-1, -1], [-1, 1]])
 # --- ranking ----------------------------------------------------------------
 
 def test_rank_desc_basic():
-    assert ss.rank_desc([3.0, 1.0, 2.0]) == [1, 3, 2]
+    assert rank_desc([3.0, 1.0, 2.0]) == [1, 3, 2]
 
 
 def test_rank_desc_ties_prefer_smaller_id():
-    assert ss.rank_desc([1.0, 1.0]) == [1, 2]
+    assert rank_desc([1.0, 1.0]) == [1, 2]
 
 
 def test_rank_desc_empty_rejected():
     with pytest.raises(ValueError):
-        ss.rank_desc([])
+        rank_desc([])
 
 
 @settings(max_examples=60, deadline=None)
@@ -48,8 +50,8 @@ def test_rank_desc_empty_rejected():
                 unique=True))
 def test_rank_desc_reversal_on_distinct(values):
     n = len(values)
-    forward = ss.rank_desc(values)
-    backward = ss.rank_desc([-v for v in values])
+    forward = rank_desc(values)
+    backward = rank_desc([-v for v in values])
     assert all(f + b == n + 1 for f, b in zip(forward, backward))
 
 
@@ -109,7 +111,7 @@ def test_indices_stage_out_of_order():
 def test_indices_distinct_values_equal_rank_order():
     vals = [5.0, -2.0, 3.0, 0.5]
     idx = ss.assign_temporal_indices(None, 1, vals)
-    assert [idx[i] for i in range(4)] == ss.rank_desc(vals)
+    assert [idx[i] for i in range(4)] == rank_desc(vals)
 
 
 # --- run_selection ----------------------------------------------------------
@@ -211,9 +213,9 @@ def test_future_values_are_hidden_too():
 def test_greedy_memoryless_under_history_splice():
     # same values at every observation time, different interiors
     s = ss.validate_schedule([2, 3], [2, 1], N=3, T=3)
-    x1 = ss.PathEnsemble.from_value_rows(
+    x1 = from_value_rows(
         [[0, 5, 1, 2], [0, -5, 2, 1], [0, 0, 0, 4]])
-    x2 = ss.PathEnsemble.from_value_rows(
+    x2 = from_value_rows(
         [[0, -7, 1, 2], [0, 9, 2, 1], [0, 1, 0, 4]])
     t1 = ss.run_selection(x1, s, ss.greedy_strategy())
     t2 = ss.run_selection(x2, s, ss.greedy_strategy())
@@ -284,7 +286,7 @@ def test_lagged_greedy_falls_back_to_smallest_ids_at_stage_one():
 def test_lagged_greedy_uses_previous_time():
     lag = ss.baseline_strategies()["lagged_greedy"]
     s = ss.validate_schedule([1, 2, 3], [3, 2, 1], N=4, T=3)
-    x = ss.PathEnsemble.from_value_rows([
+    x = from_value_rows([
         [0, 9, 0, 0],
         [0, 8, 1, 0],
         [0, 7, 2, 0],
@@ -392,3 +394,86 @@ def test_batched_stage_refuses_strategy_without_rule():
 def test_strategy_from_config_rejects_bad_aux_seed(aux_seed):
     with pytest.raises(ConfigInvalid, match="aux_seed"):
         ss.strategy_from_config({"name": "random_fixed", "aux_seed": aux_seed})
+
+
+# --- rank rules against the hand-written choosers --------------------------------
+
+INSTANCES = {
+    "A": (ss.rademacher(1), ss.validate_schedule([1, 2], [2, 1], N=3, T=2)),
+    "B": (ss.discrete([1, -1], ["2/3", "1/3"]), ss.validate_schedule([1, 2], [2, 1], N=4, T=2)),
+    "C": (ss.discrete([1, 0, -1], ["1/3", "1/3", "1/3"]),
+          ss.validate_schedule([1, 2], [2, 1], N=3, T=2)),
+    "D": (ss.rademacher(1), ss.validate_schedule([1, 2, 3], [3, 2, 1], N=4, T=3)),
+    "E": (ss.discrete([2, -1, 0], ["1/6", "1/3", "1/2"]),
+          ss.validate_schedule([1, 2], [3, 1], N=4, T=2)),
+    "F": (ss.discrete([1, -1], ["1/2", "1/2"]), ss.validate_schedule([2, 3], [2, 1], N=3, T=3)),
+}
+
+
+def _pinned_to_reference(derived, reference):
+    """The reference chooser, asserting at every view it sees that the
+    derived `select` picks the same survivors in the same order."""
+    def choose(view, size):
+        want = tuple(reference.chooser(view, size))
+        assert derived.select(view, size) == want, (derived.name, view.stage)
+        return want
+    return ss.Strategy(name=derived.name, chooser=choose)
+
+
+def _assert_rules_match_references(rows_of_increments, s):
+    pairs = list(zip(ss.full_catalog(), reference_catalog()))
+    for rows in rows_of_increments:
+        x = ss.PathEnsemble.from_increment_rows(rows)
+        for derived, reference in pairs:
+            ss.run_selection(x, s, _pinned_to_reference(derived, reference))
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_rank_rules_match_hand_written_choosers_on_every_atom(name):
+    # exact Fraction paths with ties everywhere
+    model, s = INSTANCES[name]
+    _assert_rules_match_references(
+        [x.increments for x, _ in ss.enumerate_paths(model, s.N, s.T)], s)
+
+
+@pytest.mark.parametrize("model", [
+    ss.gaussian(0, 1),
+    ss.uniform(-1, 2),
+    # integer-valued float steps: ties in values, lags and midranges
+    ss.drift_model(ss.rademacher(1), [1, 0, -1], ["1/4", "1/2", "1/4"]),
+], ids=["gaussian", "uniform", "drift"])
+def test_rank_rules_match_hand_written_choosers_on_float_chunks(model):
+    s = ss.validate_schedule([1, 3, 5], [4, 2, 1], N=6, T=5)
+    inc = ss.sample_chunk(model, s.N, s.T, seed=12, chunk_index=0)[:150]
+    _assert_rules_match_references(inc.tolist(), s)
+
+
+def test_batched_stage_matches_hand_written_choosers_on_tied_atoms():
+    model, s = INSTANCES["D"]
+    atoms = ss.enumerate_paths(model, s.N, s.T)
+    inc = np.array([[[float(v) for v in row] for row in x.increments] for x, _ in atoms])
+    values = ss.core_model.value_grid(inc)
+    for derived, reference in zip(ss.full_catalog(), reference_catalog()):
+        alive = np.ones((len(atoms), s.N), dtype=bool)
+        traces = [ss.run_selection(x, s, reference) for x, _ in atoms]
+        for j in range(1, s.stages + 1):
+            t = s.times[j - 1]
+            alive = batched_stage(derived, s, j, values[:, :, :t + 1], inc[:, :, :t], alive)
+            got = [tuple(np.flatnonzero(row).tolist()) for row in alive]
+            assert got == [tr.stages[j - 1].survivors for tr in traces], (derived.name, j)
+
+
+def test_strategy_with_a_rank_rule_runs_in_both_engines():
+    # a library rule: keep the processes with the largest first step
+    def first_step(j, times, n_processes, values, increments, ids):
+        return increments[..., 0]
+
+    rule = ss.Strategy(name="first_step", chooser=RankRule(first_step))
+    assert has_batched_rule(rule)
+    s = ss.validate_schedule([1, 2], [2, 1], N=3, T=2)
+    x = ss.PathEnsemble.from_increment_rows([[1, 5], [2, -9], [-1, 0]])
+    assert ss.run_selection(x, s, rule).survivor_sets() == [(0, 1), (1,)]
+    inc = np.array([x.increments], dtype=float)
+    values = ss.core_model.value_grid(inc)
+    alive = batched_stage(rule, s, 1, values[:, :, :2], inc[:, :, :1], np.ones((1, 3), dtype=bool))
+    assert alive.tolist() == [[True, True, False]]

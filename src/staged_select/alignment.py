@@ -26,8 +26,9 @@ hold exactly in floating point as well: float addition is monotone in each
 argument, so no tolerance is needed anywhere in this module.
 
 Every sweep (`verify_mc`, `verify_exhaustive`, coupled comparisons) couples
-and audits whole chunks as arrays (`couple_chunk`, `audit_chunk`) for a
-strategy with a `RankRule`, else one realization at a time (`_audit_case`).
+and audits whole chunks, float64 or exact, for any strategy (`couple_chunk`,
+`audit_chunk`).  The per-realization calls (`build_alignment`, the `check_*`
+functions, `invert_alignment`) are the reference the tests pin them to.
 """
 
 from __future__ import annotations
@@ -53,11 +54,11 @@ from .core_model import (
 from .errors import DimensionMismatch, NonDeterministicStrategy
 from .oracle import exact_expected_value
 from .selection_engine import (
+    RankRule,
     StagewiseRun,
     Strategy,
     batched_stage,
     greedy_strategy,
-    has_batched_rule,
     ranked_columns,
     ranked_ids,
 )
@@ -495,16 +496,15 @@ def _walk(alg: Strategy, s: Schedule, xi, xv, yi, yv, fill: str | None,
     pairing = [src]
     x_kept: list[np.ndarray] = []
     y_kept: list[np.ndarray] = []
-    x_alive = y_alive = np.ones((reps, n), dtype=bool)
     for j in range(1, last + 1):
         t = s.times[j - 1]
-        x_new = batched_stage(alg, s, j, xv[:, :, :t + 1], xi[:, :, :t], x_alive)
-        y_new = batched_stage(_GREEDY, s, j, yv[:, :, :t + 1], yi[:, :, :t], y_alive)
-        x_kept.append(x_new)
-        y_kept.append(y_new)
+        x_kept.append(batched_stage(alg, s, j, xv[:, :, :t + 1], xi[:, :, :t], x_kept))
+        y_kept.append(batched_stage(_GREEDY, s, j, yv[:, :, :t + 1], yi[:, :, :t], y_kept))
         if j == s.stages:
             break
         src = src.copy()
+        x_new, y_new = x_kept[-1], y_kept[-1]
+        x_alive, y_alive = (x_kept[-2], y_kept[-2]) if j > 1 else (True, True)
         cohorts = ((x_new, y_new, s.sizes[j - 1]),
                    (x_alive & ~x_new, y_alive & ~y_new,
                     (s.N if j == 1 else s.sizes[j - 2]) - s.sizes[j - 1]))
@@ -513,7 +513,6 @@ def _walk(alg: Strategy, s: Schedule, xi, xv, yi, yv, fill: str | None,
             yo = ranked_columns(yv[:, :, t], y_mask)[:, :size]
             np.put_along_axis(src, yo, xo, axis=1)
         pairing.append(src)
-        x_alive, y_alive = x_new, y_new
         lo, hi = spans[j]
         if fill == "y":
             yi[:, :, lo:hi] = np.take_along_axis(xi[:, :, lo:hi], src[:, :, None], axis=1)
@@ -534,8 +533,9 @@ def couple_chunk(inc: np.ndarray, s: Schedule, alg: Strategy,
     """Build the coupling for every row of an increment chunk (reps, N, T)
     at once, and with `invert` the mirror walk that rebuilds X from Y.
 
-    The strategy needs a `RankRule` (`has_batched_rule`).  A test pins
-    every field to `build_alignment`/`invert_alignment` row by row.
+    The chunk may be float64 or exact objects (Fractions); the grids keep
+    its dtype.  A test pins every field to `build_alignment` and
+    `invert_alignment` row by row.
     """
     _require_deterministic(alg)
     if inc.shape[1:] != (s.N, s.T):
@@ -611,8 +611,8 @@ def audit_chunk(c: ChunkCoupling, s: Schedule, alg: Strategy,
 def headline_violations(inc: np.ndarray, s: Schedule, alg: Strategy) -> int:
     """Rows of an increment chunk where the strategy's final value on X
     exceeds greedy's on the image Y (expect zero)."""
-    _, _, alg_final, greedy_final = _audit(inc, s, alg, (), has_batched_rule(alg))
-    return int(np.count_nonzero(~(np.asarray(alg_final) <= np.asarray(greedy_final))))
+    _, _, alg_final, greedy_final = _audit(inc, s, alg, ())
+    return int(np.count_nonzero(~(alg_final <= greedy_final)))
 
 
 # ---------------------------------------------------------------------------
@@ -669,13 +669,13 @@ def verify_exhaustive(model, s: Schedule, alg: Strategy,
     identity sum P * greedy(image) = sum P * greedy(atom).
 
     Atoms are streamed in enumeration order as chunks of symbol indices (a
-    mixed-radix count), never listed.  A strategy with a `RankRule` is
-    coupled and audited a chunk at a time on the support scaled by the lcm
-    of its denominators: values and rule scores are then integers or
-    half-integers, exact in float64 under the guard
-    2 * T * max|scaled step| < 2**52, so rankings and ties equal the
-    rational run's.  Other strategies, and supports past the guard, go atom
-    by atom through `_audit_case` in rationals.  Images are read back as
+    mixed-radix count), never listed, and audited a chunk at a time.  For a
+    `RankRule` the grid is the support scaled by the lcm of its
+    denominators, in float64: values and rule scores are then integers or
+    half-integers, exact under the guard 2 * T * max|scaled step| < 2**52,
+    so rankings and ties equal the rational run's.  Past the guard, and for
+    any other chooser (which may rank scaled paths differently), the grid
+    is the unscaled support as Fraction objects.  Images are read back as
     symbols: injectivity is a bitmap over atom indices, equal symbol counts
     mean equal probabilities, and the image side of the identity is summed
     exactly per count class.  The direct side is greedy's exact value on
@@ -687,9 +687,10 @@ def verify_exhaustive(model, s: Schedule, alg: Strategy,
     size, length = len(disc.support), s.N * s.T
     scale = math.lcm(*(v.denominator for v in disc.support))
     steps = [int(v * scale) for v in disc.support]
-    chunked = has_batched_rule(alg) and 2 * s.T * max(map(abs, steps)) < 2 ** 52
-    scale, grid = ((scale, np.array(steps, dtype=float)) if chunked
-                   else (1, np.array(disc.support, dtype=object)))
+    if isinstance(alg.chooser, RankRule) and 2 * s.T * max(map(abs, steps)) < 2 ** 52:
+        grid = np.array(steps, dtype=float)
+    else:
+        scale, grid = 1, np.array(disc.support, dtype=object)
     index = {v: sym for sym, v in enumerate(grid.tolist())}
     symbols = np.vectorize(lambda v: index.get(v, -1), otypes=[np.int64])  # -1: off the support
     class_prob = lru_cache(maxsize=None)(lambda key: math.prod(disc.probs[k] for k in key))
@@ -702,8 +703,7 @@ def verify_exhaustive(model, s: Schedule, alg: Strategy,
     for start in range(0, count, REPLICATION_CHUNK):
         codes = np.arange(start, min(start + REPLICATION_CHUNK, count))
         x_sym = codes[:, None] // radix % size
-        verdicts, y_inc, _, finals = _audit(grid[x_sym].reshape(-1, s.N, s.T), s, alg,
-                                            ALL_CHECKS, chunked)
+        verdicts, y_inc, _, finals = _audit(grid[x_sym].reshape(-1, s.N, s.T), s, alg, ALL_CHECKS)
         bad = [n + int(np.count_nonzero(v)) for n, v in zip(bad, verdicts)]
         y_sym = symbols(y_inc).reshape(len(codes), length)
         off_support = bool((y_sym < 0).any())
@@ -714,8 +714,9 @@ def verify_exhaustive(model, s: Schedule, alg: Strategy,
         np.bitwise_or.at(seen, byte, bit)
         pushforward_ok &= not off_support
         classes = (map(tuple, np.sort(sym, axis=1).tolist()) for sym in (x_sym, y_sym))
-        finals = finals.astype(np.int64).tolist() if chunked else finals
-        for x_class, y_class, final in zip(*classes, finals):
+        # exact sums: the scaled float finals are integers
+        finals = finals if grid.dtype == object else finals.astype(np.int64)
+        for x_class, y_class, final in zip(*classes, finals.tolist()):
             pushforward_ok &= x_class == y_class or class_prob(x_class) == class_prob(y_class)
             class_sums[x_class] = class_sums.get(x_class, 0) + final
     sum_image = sum(class_prob(key) * total for key, total in class_sums.items()) / scale
@@ -739,15 +740,14 @@ def verify_mc(model: Model, s: Schedule, alg: Strategy, reps: int,
     `checks` selects the layers to run per realization: "dominance"
     (pairwise and headline inequalities), "permutation" (block structure
     with the history-measurability recomputation) and "inversion" (full
-    round trip).  Strategies with a `RankRule` are coupled and audited a
-    whole chunk at a time (`couple_chunk`, `audit_chunk`); others take the
-    per-realization walk.  The measure-theoretic checks need an enumerable
-    space and are reported as vacuously true here.
+    round trip).  Each sampled chunk is coupled and audited at once
+    (`couple_chunk`, `audit_chunk`).  The measure-theoretic checks need an
+    enumerable space and are reported as vacuously true here.
     """
     bad = [0, 0, 0]
     count = 0
     for _, inc in sample_replications(model, s.N, s.T, reps, seed):
-        verdicts = _audit(inc, s, alg, checks, has_batched_rule(alg))[0]
+        verdicts = _audit(inc, s, alg, checks)[0]
         bad = [n + int(np.count_nonzero(v)) for n, v in zip(bad, verdicts)]
         count += inc.shape[0]
     return VerifyResult(
@@ -763,32 +763,13 @@ def verify_mc(model: Model, s: Schedule, alg: Strategy, reps: int,
     )
 
 
-def _audit(inc: np.ndarray, s: Schedule, alg: Strategy, checks: tuple[str, ...],
-           chunked: bool) -> tuple:
-    """Couple and audit every row of an increment chunk: the (dominance,
-    permutation, inversion) failure masks, Y's increments, and the final
-    values of the strategy on X and of greedy on Y; the whole chunk at once
-    (`chunked`, for a `RankRule`) or row by row through `_audit_case`."""
-    if chunked:
-        c = couple_chunk(inc, s, alg, invert="inversion" in checks)
-        return audit_chunk(c, s, alg, checks), c.y_inc, c.alg_final, c.greedy_final
-    cases = [_audit_case(PathEnsemble.from_increment_rows(rows), s, alg, checks)
-             for rows in inc.tolist()]
-    return (np.array([case[1:] for case in cases], dtype=bool).T,
-            np.array([case[0].y.increments for case in cases], dtype=inc.dtype),
-            [case[0].alg_final for case in cases], [case[0].greedy_final for case in cases])
-
-
-def _audit_case(x: PathEnsemble, s: Schedule, alg: Strategy,
-                checks: tuple[str, ...] = ALL_CHECKS) -> tuple[AlignmentWitness, bool, bool, bool]:
-    """Couple one realization and audit the witness: returns it with
-    whether it fails dominance (recomputed from the witness grids),
-    permutation and inversion (False for a check not selected)."""
-    w = build_alignment(x, s, alg)
-    dom_bad = "dominance" in checks and not check_pairwise_dominance(w, s).ok
-    perm_bad = "permutation" in checks and not check_block_permutation(w, s, alg).ok
-    inv_bad = "inversion" in checks and invert_alignment(w.y, s, alg) != x
-    return w, dom_bad, perm_bad, inv_bad
+def _audit(inc: np.ndarray, s: Schedule, alg: Strategy, checks: tuple[str, ...]) -> tuple:
+    """Couple and audit every row of an increment chunk at once: the
+    (dominance, permutation, inversion) failure masks, Y's increments, and
+    the final values of the strategy on X and of greedy on Y.  The coupling
+    itself is freed on return, before the caller's next chunk."""
+    c = couple_chunk(inc, s, alg, invert="inversion" in checks)
+    return audit_chunk(c, s, alg, checks), c.y_inc, c.alg_final, c.greedy_final
 
 
 # ---------------------------------------------------------------------------

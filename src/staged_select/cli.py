@@ -7,7 +7,7 @@ config values.  Exit codes are stable across subcommands:
 * 0 success / verified
 * 1 verification failure (a theorem check found a violation — a bug)
 * 2 invalid configuration
-* 3 an enumeration or search cap was exceeded
+* 3 an enumeration, search or sampled-chunk cap was exceeded
 * 4 an oracle's independence hypothesis was violated
 
 All outputs are reproducible byte for byte given the same config and seeds,
@@ -39,14 +39,13 @@ from .core_model import (
     schedule_to_config,
 )
 from .errors import (
+    CapExceeded,
     ConfigInvalid,
     DimensionMismatch,
-    EnumerationTooLarge,
     IndependenceViolated,
     InvalidDimensions,
     InvalidReps,
     ScheduleInvalid,
-    SearchTooLarge,
     StagedSelectError,
 )
 from .selection_engine import (
@@ -465,7 +464,7 @@ def main(argv=None) -> int:
             InvalidReps) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (EnumerationTooLarge, SearchTooLarge) as exc:
+    except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except IndependenceViolated as exc:

@@ -53,15 +53,26 @@ class DimensionMismatch(StagedSelectError):
     """An ensemble or increment block does not match the schedule's shape."""
 
 
-class EnumerationTooLarge(StagedSelectError):
-    """Exact path enumeration would exceed the configured cap."""
+class CapExceeded(StagedSelectError):
+    """Base for a run that would exceed a cap on its work or memory; the
+    CLI exits 3.  A subclass's `message` names what `count` counts."""
 
     def __init__(self, count: int, cap: int):
-        super().__init__(
-            f"enumeration needs {count} states, exceeding the cap of {cap}"
-        )
+        super().__init__(self.message.format(count=count, cap=cap))
         self.count = count
         self.cap = cap
+
+
+class EnumerationTooLarge(CapExceeded):
+    """Exact path enumeration would exceed the configured cap."""
+
+    message = "enumeration needs {count} states, exceeding the cap of {cap}"
+
+
+class ChunkTooLarge(CapExceeded):
+    """A sampled replication chunk would hold more values than the cap."""
+
+    message = "a sampled chunk needs {count} values (chunk x N x T), exceeding the cap of {cap}"
 
 
 class IndependenceViolated(StagedSelectError):
@@ -92,15 +103,10 @@ class ValueHidden(StagedSelectError):
 
 # --- oracle / experiments ------------------------------------------------
 
-class SearchTooLarge(StagedSelectError):
+class SearchTooLarge(CapExceeded):
     """The strategy search tree would exceed the configured cap."""
 
-    def __init__(self, count: int, cap: int):
-        super().__init__(
-            f"strategy search needs about {count} tree nodes, exceeding the cap of {cap}"
-        )
-        self.count = count
-        self.cap = cap
+    message = "strategy search needs about {count} tree nodes, exceeding the cap of {cap}"
 
 
 class InvalidReps(StagedSelectError):

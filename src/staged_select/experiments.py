@@ -10,11 +10,10 @@ Comparisons use common random numbers: every strategy is evaluated on the
 same sampled ensembles, and differences are reported as paired statistics
 against greedy.
 
-Strategies with a `RankRule` (`selection_engine.batched_stage`, the
-whole catalog) run through one stage loop per chunk, which yields both the
-final values and the per-stage survivor means; anything else falls back to
-the per-realization engine.  A test pins the two engines to bit-identical
-outputs on the catalog.
+Every strategy runs through one stage loop per chunk
+(`selection_engine.batched_stage`), which yields both the final values and
+the per-stage survivor means.  Tests pin it to bit-identical outputs with
+`run_selection`, for the catalog and for custom choosers.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .alignment import headline_violations
 from .core_model import (
     DriftModel,
     Model,
-    PathEnsemble,
     Schedule,
     drift_model,
     rademacher,
@@ -45,8 +43,6 @@ from .selection_engine import (
     baseline_strategies,
     batched_stage,
     greedy_strategy,
-    has_batched_rule,
-    run_selection,
 )
 
 
@@ -56,39 +52,30 @@ from .selection_engine import (
 
 def _stage_loop(values: np.ndarray, increments: np.ndarray, s: Schedule,
                 alg: Strategy) -> tuple[np.ndarray, list[float]]:
-    """One run of a batched strategy over a chunk: the final selected value
+    """One run of a strategy over a chunk: the final selected value
     per replication, and per stage the mean (over replications and
     survivors) of the survivors' values at t_j, for value-vs-stage traces."""
     reps = values.shape[0]
-    alive = np.ones((reps, s.N), dtype=bool)
+    kept: list[np.ndarray] = []
     means = []
     for j in range(1, s.stages + 1):
         t_j = s.times[j - 1]
         alive = batched_stage(alg, s, j, values[:, :, :t_j + 1],
-                              increments[:, :, :t_j], alive)
+                              increments[:, :, :t_j], kept)
+        kept.append(alive)
         v = values[:, :, t_j]
         means.append(float(np.sum(np.where(alive, v, 0.0)) / (reps * s.sizes[j - 1])))
     winner = np.argmax(alive, axis=1)
     return values[np.arange(reps), winner, s.T], means
 
 
-def _final_values_loop(inc: np.ndarray, s: Schedule, alg: Strategy) -> np.ndarray:
-    out = np.empty(inc.shape[0], dtype=np.float64)
-    for r in range(inc.shape[0]):
-        x = PathEnsemble.from_increment_rows(inc[r].tolist(), model_tag="mc")
-        out[r] = run_selection(x, s, alg).final_value
-    return out
-
-
 def final_values_for_chunk(inc: np.ndarray, s: Schedule, alg: Strategy) -> np.ndarray:
     """Final selected value per replication of one increment chunk."""
-    if has_batched_rule(alg):
-        return _stage_loop(value_grid(inc), inc, s, alg)[0]
-    return _final_values_loop(inc, s, alg)
+    return _stage_loop(value_grid(inc), inc, s, alg)[0]
 
 
 # ---------------------------------------------------------------------------
-# deterministic chunked reduction
+# deterministic reduction in chunk order
 # ---------------------------------------------------------------------------
 
 def _map_ordered(fn, args: list, threads: int) -> list:
@@ -220,20 +207,21 @@ def compare_strategies(model: Model, s: Schedule, catalog: list[Strategy],
 
     Reports per-strategy means and paired differences against greedy
     (strategy minus greedy, so a negative difference means greedy did
-    better).  With `coupled=True` each replication additionally runs the
-    alignment coupling per strategy and counts pathwise violations of
-    strategy-on-X exceeding greedy-on-image; expect zero.  Strategies with
-    a `RankRule` are coupled a whole chunk at a time; others take the
-    much slower per-realization walk.
+    better).  The baseline is the first strategy whose chooser is
+    greedy's rule, whatever its name; the real greedy is added first when
+    there is none.  With `coupled=True` each replication additionally runs
+    the alignment coupling per strategy and counts pathwise violations of
+    strategy-on-X exceeding greedy-on-image; expect zero.
     """
     if not catalog:
         raise ConfigInvalid("compare needs a nonempty strategy catalog")
     if reps < 2:
         raise InvalidReps(f"need at least 2 replications, got {reps}")
     algs = list(catalog)
-    if not any(a.name == "greedy" for a in algs):
-        algs.insert(0, greedy_strategy())
-    greedy_pos = next(i for i, a in enumerate(algs) if a.name == "greedy")
+    greedy = greedy_strategy()
+    if not any(a.chooser == greedy.chooser for a in algs):
+        algs.insert(0, greedy)
+    greedy_pos = next(i for i, a in enumerate(algs) if a.chooser == greedy.chooser)
 
     @np.errstate(over="ignore", invalid="ignore")  # reported below
     def work(spec: tuple[int, int]):
@@ -241,14 +229,7 @@ def compare_strategies(model: Model, s: Schedule, catalog: list[Strategy],
         inc = sample_chunk(model, s.N, s.T, seed, c)[:take]
         digest = hashlib.sha256(inc.tobytes()).hexdigest()
         values = value_grid(inc)
-        finals, stage_means = [], []
-        for a in algs:
-            if has_batched_rule(a):
-                f, means = _stage_loop(values, inc, s, a)
-            else:
-                f, means = _final_values_loop(inc, s, a), [math.nan] * s.stages
-            finals.append(f)
-            stage_means.append(means)
+        finals, stage_means = zip(*(_stage_loop(values, inc, s, a) for a in algs))
         coupled_bad = [headline_violations(inc, s, a) if coupled else 0 for a in algs]
         stats = []
         for ai in range(len(algs)):
@@ -292,7 +273,7 @@ def compare_strategies(model: Model, s: Schedule, catalog: list[Strategy],
             paired_stderr=da.stderr,
             coupled_violations=coupled_totals[ai] if coupled else None,
         ))
-        _require_finite(*astuple(rows[-1])[2:8], *(stage_sums[ai] if has_batched_rule(a) else ()))
+        _require_finite(*astuple(rows[-1])[2:8], *stage_sums[ai])
     stage_rows = []
     for ai, a in enumerate(algs):
         for jj in range(s.stages):

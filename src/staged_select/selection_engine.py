@@ -9,8 +9,8 @@ selected value.
 Each catalog strategy is defined once, as a `RankRule`: an array score
 over grids cut at t_j and a keep rule.  `Strategy.select` evaluates it on
 the view's candidates (one row), `batched_stage` on a whole chunk of
-realizations; strategies with any other chooser run on the scalar engine
-only.
+realizations.  `batched_stage` runs any other chooser too, one checked
+decision per row on that row's `HistoryView`.
 
 One global tie-break rule is used for every ranking in the package: higher
 value wins, and equal values are ordered by smaller process id.  Consistency
@@ -46,15 +46,30 @@ def ranked_ids(ids: Sequence[int], value_of: Callable[[int], Number]) -> list[in
     return sorted(sorted(ids), key=value_of, reverse=True)
 
 
+class _SortsLast:
+    """An object-dtype sort key greater than every number."""
+
+    def __lt__(self, other):
+        return False
+
+    def __gt__(self, other):
+        return True
+
+
+_LAST = _SortsLast()
+
+
 def ranked_columns(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Batched `ranked_ids`: per row, the column ids best-first by score,
     ties to the smaller id, masked-out columns last.
 
     The stable argsort of the negated scores keeps equal scores in
     ascending id order.  Masked entries are keyed NaN, which sorts after
-    every number, infinities included.
+    every float, infinities included; exact (object-dtype) scores such as
+    Fractions do not order against NaN, so there the key is `_LAST`.
     """
-    return np.argsort(np.where(mask, -scores, np.nan), axis=1, kind="stable")
+    last = _LAST if scores.dtype == object else np.nan
+    return np.argsort(np.where(mask, -scores, last), axis=1, kind="stable")
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +131,7 @@ class Strategy:
     Randomized strategies carry an auxiliary seed and are deterministic
     given it; `deterministic` is False only for intentionally ill-behaved
     strategies used to exercise the alignment guard.  A chooser that is a
-    `RankRule` also runs on whole chunks (`batched_stage`).
+    `RankRule` is scored on whole chunks as arrays (`batched_stage`).
     """
 
     name: str
@@ -238,27 +253,34 @@ def full_catalog(aux_seed: int = 2024) -> list[Strategy]:
     return [greedy_strategy(), *baseline_strategies(aux_seed).values()]
 
 
-def has_batched_rule(alg: Strategy) -> bool:
-    """Whether `batched_stage` can run this strategy on whole chunks."""
-    return isinstance(alg.chooser, RankRule)
-
-
 def batched_stage(alg: Strategy, s: Schedule, j: int, values: np.ndarray,
-                  increments: np.ndarray, alive: np.ndarray) -> np.ndarray:
-    """Stage j of the strategy's `RankRule` on every row of a chunk at once.
+                  increments: np.ndarray, kept: Sequence[np.ndarray]) -> np.ndarray:
+    """Stage j of the strategy on every row of a chunk at once.
 
-    `values` (reps, N, t_j + 1) and `increments` (reps, N, t_j) are the
-    grids cut at t_j, so the rule cannot read the future; `alive` (reps, N)
-    is the candidate mask.  Returns the survivor mask.  Rows are ranked
-    with the package tie rule via `ranked_columns`.
+    `values` (reps, N, t_j + 1) and `increments` (reps, N, t_j), float64 or
+    exact objects, are the grids cut at t_j, so no chooser reads the future;
+    `kept` holds the survivor masks (reps, N) of stages 1..j-1.  Returns the
+    survivor mask.  A `RankRule` is scored as arrays and ranked with
+    `ranked_columns`; any other chooser decides row by row through
+    `stage_decision` on the row's `HistoryView`, as in `StagewiseRun`: a
+    process that survived m stages is visible up to t_{m+1}.
     """
-    if not has_batched_rule(alg):
-        raise KeyError(f"{alg.name} has no batched rule")
-    scores = alg.chooser.score(j, s.times, s.N, values, increments, np.arange(s.N))
-    order = ranked_columns(scores, alive)
-    keep = alg.chooser.kept(s.N if j == 1 else s.sizes[j - 2], s.sizes[j - 1], j == s.stages)
+    alive = kept[-1] if kept else np.ones(values.shape[:2], dtype=bool)
+    rule = alg.chooser
     out = np.zeros_like(alive)
-    np.put_along_axis(out, order[:, keep], True, axis=1)
+    if isinstance(rule, RankRule):
+        scores = rule.score(j, s.times, s.N, values, increments, np.arange(s.N))
+        order = ranked_columns(scores, alive)
+        keep = rule.kept(s.N if j == 1 else s.sizes[j - 2], s.sizes[j - 1], j == s.stages)
+        np.put_along_axis(out, order[:, keep], True, axis=1)
+        return out
+    horizons = np.take(s.times, sum(kept, np.zeros(alive.shape, dtype=np.intp)))
+    rows = zip(values.tolist(), increments.tolist(), horizons.tolist(), alive.tolist())
+    for r, (v, inc, h, a) in enumerate(rows):
+        candidates = tuple(i for i, live in enumerate(a) if live)
+        chosen = stage_decision(s, alg, j, candidates, tuple(map(tuple, v)),
+                                tuple(map(tuple, inc)), tuple(h))
+        out[r, list(chosen)] = True
     return out
 
 
@@ -281,7 +303,7 @@ def strategy_from_config(obj: dict, path: str = "strategy") -> Strategy:
     if name == "greedy":
         return greedy_strategy()
     catalog = baseline_strategies()
-    if name in catalog:
+    if isinstance(name, str) and name in catalog:
         return catalog[name]
     raise ConfigInvalid(f"{path}.name: unknown strategy {name!r}")
 

@@ -3,8 +3,9 @@
 The catalog strategies are written here a second time, by hand, as plain
 choosers over a `HistoryView`: the package defines each of them once, as a
 `RankRule`, and the tests check that the rule picks what these choosers
-pick.  The other helpers are brute-force or construction shortcuts that
-only tests need.
+pick.  `audit_case` is the per-realization coupling audit composed of the
+public scalar calls, the reference for the chunk audit.  The other helpers
+are brute-force or construction shortcuts that only tests need.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 import staged_select as ss
+from staged_select import alignment
 from staged_select.errors import InvalidDimensions, SearchTooLarge
 from staged_select.selection_engine import HistoryView, ranked_ids
 
@@ -73,6 +75,20 @@ def reference_catalog(aux_seed: int = 2024) -> list[ss.Strategy]:
         ss.Strategy(name="lagged_greedy", chooser=lagged_greedy),
         ss.Strategy(name="drift_aware", chooser=drift_aware),
     ]
+
+
+# --- the coupling audit, one realization at a time ------------------------------
+
+def audit_case(x: ss.PathEnsemble, s: ss.Schedule, alg: ss.Strategy,
+               checks: tuple[str, ...] = alignment.ALL_CHECKS):
+    """Couple one realization and audit the witness: returns it with
+    whether it fails dominance (recomputed from the witness grids),
+    permutation and inversion (False for a check not selected)."""
+    w = alignment.build_alignment(x, s, alg)
+    dom_bad = "dominance" in checks and not alignment.check_pairwise_dominance(w, s).ok
+    perm_bad = "permutation" in checks and not alignment.check_block_permutation(w, s, alg).ok
+    inv_bad = "inversion" in checks and alignment.invert_alignment(w.y, s, alg) != x
+    return w, dom_bad, perm_bad, inv_bad
 
 
 # --- small helpers --------------------------------------------------------------

@@ -21,6 +21,16 @@ SCHEDULE_A = ss.validate_schedule([1, 2], [2, 1], N=3, T=2)
 MODEL_A = ss.rademacher(1)
 TRACE_X = ss.PathEnsemble.from_increment_rows([[1, 1], [-1, -1], [-1, 1]])
 ANTI = ss.baseline_strategies()["anti_greedy"]
+# a custom chooser, not a `RankRule`: the chunk engine runs it row by row
+KEEP_WORST = ss.Strategy(
+    name="keep_worst",
+    chooser=lambda v, n: sorted(v.survivors, key=lambda i: (v.value_at(i, v.time), i))[:n],
+)
+
+
+def _fractions(inc):
+    """The same chunk as an exact object grid of Fractions."""
+    return np.frompyfunc(Fraction, 1, 1)(inc)
 
 
 # --- construction -----------------------------------------------------------
@@ -285,18 +295,18 @@ def test_batched_coupling_matches_scalar_on_every_atom(name, model, s):
 
 def _audit_rows(inc, s, alg, checks):
     """Violation counts (dominance, permutation, inversion) of a chunk, one
-    realization at a time through the scalar `_audit_case`."""
+    realization at a time through the scalar `audit_case`."""
     counts = [0, 0, 0]
     for r in range(inc.shape[0]):
         x = ss.PathEnsemble.from_increment_rows(inc[r].tolist())
-        counts = [n + bad for n, bad in zip(counts, alignment._audit_case(x, s, alg, checks)[1:])]
+        counts = [n + bad for n, bad in zip(counts, scalar_reference.audit_case(x, s, alg, checks)[1:])]
     return tuple(counts)
 
 
 def test_batched_verify_mc_equals_scalar_loop():
     s = SCHEDULE_U
     model = ss.gaussian(0.5, 2)
-    for strat in ss.full_catalog():
+    for strat in [*ss.full_catalog(), KEEP_WORST]:
         res = ss.verify_mc(model, s, strat, reps=300, seed=8)
         counts = [0, 0, 0]
         for _, inc in ss.sample_replications(model, s.N, s.T, 300, 8):
@@ -317,23 +327,21 @@ def test_audit_case_recomputes_dominance_from_witness_grids(monkeypatch):
         return replace(w, y=ss.PathEnsemble.from_increment_rows(rows))
 
     monkeypatch.setattr(alignment, "build_alignment", sunk)
-    w, dom_bad, perm_bad, inv_bad = alignment._audit_case(TRACE_X, SCHEDULE_A, ANTI)
+    w, dom_bad, perm_bad, inv_bad = scalar_reference.audit_case(TRACE_X, SCHEDULE_A, ANTI)
     assert all(e.ok for e in w.dominance)
     assert dom_bad and perm_bad and inv_bad
-    assert alignment._audit_case(TRACE_X, SCHEDULE_A, ANTI, ("permutation",))[1:] == (
+    assert scalar_reference.audit_case(TRACE_X, SCHEDULE_A, ANTI, ("permutation",))[1:] == (
         False, True, False)
 
 
 def test_verify_mc_falls_back_for_strategies_without_batched_rule():
-    worst = ss.Strategy(
-        name="keep_worst",
-        chooser=lambda v, n: sorted(v.survivors,
-                                    key=lambda i: (v.value_at(i, v.time), i))[:n],
-    )
-    res = ss.verify_mc(ss.gaussian(0, 1), SCHEDULE_U, worst, reps=40, seed=3)
+    # a chooser that is not a `RankRule` is coupled on the chunk engine
+    # too, float or exact, field for field as the scalar witness
+    res = ss.verify_mc(ss.gaussian(0, 1), SCHEDULE_U, KEEP_WORST, reps=40, seed=3)
     assert res.cases == 40 and res.ok
-    with pytest.raises(KeyError):
-        couple_chunk(np.zeros((2, SCHEDULE_U.N, SCHEDULE_U.T)), SCHEDULE_U, worst)
+    inc = ss.sample_chunk(ss.gaussian(0, 1), SCHEDULE_U.N, SCHEDULE_U.T, seed=3, chunk_index=0)[:40]
+    assert_chunk_matches_scalar(inc, SCHEDULE_U, KEEP_WORST)
+    assert_chunk_matches_scalar(_fractions(inc[:10]), SCHEDULE_U, KEEP_WORST)
 
 
 def test_batched_coupling_refuses_nondeterministic_strategy():
@@ -352,8 +360,11 @@ def _corrupt(a, edit):
 def test_audit_counts_each_planted_fault():
     s = SCHEDULE_G
     inc = ss.sample_chunk(ss.gaussian(0, 1), s.N, s.T, seed=6, chunk_index=0)[:50]
-    anti = ss.baseline_strategies()["anti_greedy"]
-    c = couple_chunk(inc, s, anti)
+    for chunk in (inc, _fractions(inc)):   # float64 and exact object grids
+        _assert_each_planted_fault_counted(couple_chunk(chunk, s, ANTI), s, ANTI)
+
+
+def _assert_each_planted_fault_counted(c, s, anti):
     lo, hi = s.block_bounds()[1]
 
     def sink_y_block(a):        # row 7's image loses 1e6 over block 2
@@ -398,7 +409,7 @@ def test_audit_counts_each_planted_fault():
     ]
     for bad, which, row in cases:
         verdicts = audit_chunk(bad, s, anti)
-        assert np.flatnonzero(verdicts[which]).tolist() == [row]
+        assert np.flatnonzero(verdicts[which]).tolist() == [row], c.x_inc.dtype
     assert not any(v.any() for v in audit_chunk(c, s, anti))
 
 
@@ -425,7 +436,7 @@ def _greedy_sum_over_atoms(model, s):
 
 def _verify_exhaustive_reference(model, s, alg, monkeypatch):
     """The per-atom scalar audit, with the hand-written choosers for the
-    strategy and for greedy: every enumerated atom through `_audit_case`,
+    strategy and for greedy: every enumerated atom through `audit_case`,
     images looked up among the atoms, both sides of the identity summed
     atom by atom."""
     atoms = ss.enumerate_paths(model, s.N, s.T)
@@ -437,7 +448,7 @@ def _verify_exhaustive_reference(model, s, alg, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(alignment, "greedy_strategy", lambda: HAND_GREEDY)
         for x, p in atoms:
-            w, *bad = alignment._audit_case(x, s, alg)
+            w, *bad = scalar_reference.audit_case(x, s, alg)
             counts = [n + b for n, b in zip(counts, bad)]
             images.add(w.y.values)
             pushforward_ok &= prob_of.get(w.y.values) == p
@@ -454,20 +465,17 @@ def _verify_exhaustive_reference(model, s, alg, monkeypatch):
 # support with denominators: the chunk audit runs on the support times 6
 SCALED = ("H", ss.discrete(["1/2", "-1/3"], ["2/5", "3/5"]),
           ss.validate_schedule([1, 3], [2, 1], N=3, T=3))
-# past the float64 guard: must take the per-atom fallback
+# past the float64 guard: must take the exact object grid
 HUGE = ("G", ss.discrete([2 ** 60, -1], ["1/2", "1/2"]), SCHEDULE_A)
-KEEP_WORST = ss.Strategy(
-    name="keep_worst",
-    chooser=lambda v, n: sorted(v.survivors, key=lambda i: (v.value_at(i, v.time), i))[:n],
-)
 
 
 def _count_chunk_couplings(monkeypatch):
+    """Record (rows, dtype) of every chunk that `verify_exhaustive` couples."""
     calls = []
     real = alignment.couple_chunk
 
     def counted(inc, s, alg, invert=True):
-        calls.append(inc.shape[0])
+        calls.append((inc.shape[0], inc.dtype))
         return real(inc, s, alg, invert)
 
     monkeypatch.setattr(alignment, "couple_chunk", counted)
@@ -482,22 +490,28 @@ def test_exhaustive_chunk_audit_equals_per_atom_reference(name, model, s, monkey
         res = ss.verify_exhaustive(model, s, strat)
         assert res == _verify_exhaustive_reference(model, s, hand_written, monkeypatch), name
         assert res.ok
-    # every catalog strategy took the chunk audit, in chunks of at most 4096 atoms
+    # every catalog strategy took the scaled float64 grid, in chunks of at
+    # most 4096 atoms
     disc = model.as_discrete() if isinstance(model, ss.Rademacher) else model
     count = len(disc.support) ** (s.N * s.T)
-    assert sum(calls) == 5 * count and max(calls) <= ss.REPLICATION_CHUNK
+    rows = [n for n, _ in calls]
+    assert sum(rows) == 5 * count and max(rows) <= ss.REPLICATION_CHUNK
+    assert {dtype for _, dtype in calls} == {np.dtype(float)}
 
 
 @pytest.mark.parametrize("name,model,s,strat", [
     (*HUGE, ANTI),
     (*HUGE, KEEP_WORST),
-    (*INSTANCES[1], KEEP_WORST),
+    *((*instance, KEEP_WORST) for instance in INSTANCES),
     (*SCALED, KEEP_WORST),
-], ids=["huge-anti", "huge-keep_worst", "B-keep_worst", "H-keep_worst"])
+], ids=["huge-anti", "huge-keep_worst", *(f"{i[0]}-keep_worst" for i in INSTANCES),
+        "H-keep_worst"])
 def test_exhaustive_fallback_equals_per_atom_reference(name, model, s, strat, monkeypatch):
+    # past the guard, or for a chooser that is not a `RankRule`, the same
+    # chunk audit runs on the unscaled support as exact Fraction objects
     calls = _count_chunk_couplings(monkeypatch)
     res = ss.verify_exhaustive(model, s, strat)
-    assert calls == []  # atom by atom, in exact rationals
+    assert calls and {dtype for _, dtype in calls} == {np.dtype(object)}
     assert res == _verify_exhaustive_reference(model, s, strat, monkeypatch) and res.ok
 
 
@@ -514,7 +528,6 @@ def _plant(monkeypatch, edit):
 
 def test_exhaustive_accounting_catches_planted_faults(monkeypatch):
     model, s = INSTANCES[1][1], INSTANCES[1][2]   # B: uneven probabilities
-    assert ss.verify_exhaustive(model, s, ANTI).ok
 
     def duplicate(y_inc, y_val):     # atom 0's image repeats atom 1's
         y_inc[0], y_val[0] = y_inc[1], y_val[1]
@@ -528,13 +541,17 @@ def test_exhaustive_accounting_catches_planted_faults(monkeypatch):
     def richer(y_inc, y_val):        # greedy's final value on one image grows
         y_val[9, :, -1] += 1.0
 
-    # each fault must clear its own flag; `richer` leaves the image map alone
+    # each fault must clear its own flag; `richer` leaves the image map alone;
+    # anti_greedy runs on the scaled float64 grid, keep_worst on Fractions
     cleared = [(duplicate, {"bijective"}), (off_support, {"bijective", "pushforward_ok"}),
                (reweigh, {"pushforward_ok"}), (richer, {"coupling_expectation_equal"})]
-    for edit, flags in cleared:
-        _plant(monkeypatch, edit)
-        res = ss.verify_exhaustive(model, s, ANTI)
-        assert not any(getattr(res, flag) for flag in flags), edit.__name__
-        if edit is richer:
-            assert res.bijective and res.pushforward_ok
-        assert not res.ok
+    for strat in (ANTI, KEEP_WORST):
+        assert ss.verify_exhaustive(model, s, strat).ok
+        for edit, flags in cleared:
+            _plant(monkeypatch, edit)
+            res = ss.verify_exhaustive(model, s, strat)
+            assert not any(getattr(res, flag) for flag in flags), (strat.name, edit.__name__)
+            if edit is richer:
+                assert res.bijective and res.pushforward_ok
+            assert not res.ok
+        monkeypatch.undo()

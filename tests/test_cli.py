@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -517,3 +518,33 @@ def test_unwritable_output_paths_exit_2(tmp_path, capsys):
     cfg = compare_config(tmp_path)
     assert run(["compare", "--config", cfg, "--reps", "50", "--stage-out", missing]) == 2
     assert "cannot write" in capsys.readouterr().err
+
+
+# --- the sampled-chunk cap ------------------------------------------------------
+
+# 4096 x 100 x 10,000 values: a 30.5 GiB chunk, whatever the reps
+HUGE_SCHEDULE = {"times": [5000, 10000], "sizes": [2, 1], "N": 100, "T": 10000}
+RADEMACHER_DRIFT = {"kind": "drift", "base": {"kind": "rademacher", "scale": 1},
+                    "drift_support": [1, -1], "drift_probs": ["1/2", "1/2"]}
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("compare", dict(MC_DOC, schedule=HUGE_SCHEDULE, mode=None, strategy=None,
+                     strategies=["greedy", "anti_greedy"], reps=2)),
+    ("verify", dict(MC_DOC, schedule=HUGE_SCHEDULE, reps=2)),
+    ("drift", {"model": RADEMACHER_DRIFT, "schedule": HUGE_SCHEDULE, "reps": 2, "seed": 1}),
+], ids=["compare", "verify-mc", "drift"])
+def test_oversized_sampled_chunk_exits_3_before_allocating(tmp_path, capsys, command, doc):
+    doc = {k: v for k, v in doc.items() if v is not None}
+    cfg = write_config(tmp_path, doc)
+    tracemalloc.start()
+    try:
+        code = run([command, "--config", cfg, "--threads", "2"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exceeding the cap of 16777216" in captured.err
+    # the smallest draw, a drift's (4096, 100) array, would be 3.2 MiB
+    assert peak < 2 ** 20, peak

@@ -7,13 +7,54 @@ import numpy as np
 import pytest
 
 import staged_select as ss
+from staged_select import experiments
 from staged_select.errors import ConfigInvalid, InvalidReps
-from staged_select.experiments import _final_values_loop, _stage_loop, final_values_for_chunk
+from staged_select.experiments import _stage_loop, final_values_for_chunk
 
 MODEL_A = ss.rademacher(1)
 SCHEDULE_A = ss.validate_schedule([1, 2], [2, 1], N=3, T=2)
 GAUSS = ss.gaussian(0, 1)
 SCHEDULE_G = ss.validate_schedule([2, 4, 8], [8, 4, 1], N=16, T=8)
+
+
+def _keep_worst(calls):
+    def choose(view, size):
+        calls.append(view.stage)
+        return sorted(view.survivors, key=lambda i: (view.value_at(i, view.time), i))[:size]
+    return choose
+
+
+# a custom chooser, not a `RankRule`
+KEEP_WORST = ss.Strategy(name="keep_worst", chooser=_keep_worst([]))
+
+
+def _traces(inc, s, alg):
+    return [ss.run_selection(ss.PathEnsemble.from_increment_rows(rows), s, alg)
+            for rows in inc.tolist()]
+
+
+def _final_values_by_run_selection(inc, s, alg):
+    """The scalar reference of `final_values_for_chunk`."""
+    return np.array([tr.final_value for tr in _traces(inc, s, alg)], dtype=np.float64)
+
+
+def _stage_loop_by_run_selection(values, inc, s, alg):
+    """The scalar reference of `_stage_loop`: survivors from `run_selection`,
+    the per-stage means reduced as `_stage_loop` reduces them."""
+    traces = _traces(inc, s, alg)
+    means = []
+    for j, t in enumerate(s.times):
+        alive = np.zeros(values.shape[:2], dtype=bool)
+        for r, tr in enumerate(traces):
+            alive[r, list(tr.stages[j].survivors)] = True
+        total = np.sum(np.where(alive, values[:, :, t], 0.0))
+        means.append(float(total / (len(traces) * s.sizes[j])))
+    return np.array([tr.final_value for tr in traces], dtype=np.float64), means
+
+
+def _headline_violations_by_build_alignment(inc, s, alg):
+    return sum(not ss.build_alignment(ss.PathEnsemble.from_increment_rows(rows), s, alg).headline_ok
+               for rows in inc.tolist())
 
 
 # --- mc_estimate -------------------------------------------------------------
@@ -71,9 +112,9 @@ def test_mc_close_to_exact_value():
 ])
 def test_batch_engine_matches_reference_engine(model, schedule):
     inc = ss.sample_chunk(model, schedule.N, schedule.T, seed=31, chunk_index=0)[:400]
-    for strat in ss.full_catalog():
+    for strat in [*ss.full_catalog(), KEEP_WORST]:
         fast = final_values_for_chunk(inc, schedule, strat)
-        slow = _final_values_loop(inc, schedule, strat)
+        slow = _final_values_by_run_selection(inc, schedule, strat)
         assert np.array_equal(fast, slow), strat.name
 
 
@@ -82,19 +123,27 @@ def test_batch_engine_matches_reference_on_drift_model():
     inc = ss.sample_chunk(model, schedule.N, schedule.T, seed=37, chunk_index=0)[:300]
     for strat in ss.full_catalog():
         fast = final_values_for_chunk(inc, schedule, strat)
-        slow = _final_values_loop(inc, schedule, strat)
+        slow = _final_values_by_run_selection(inc, schedule, strat)
         assert np.array_equal(fast, slow), strat.name
 
 
-def test_unlisted_strategy_falls_back_to_reference_engine():
-    worst = ss.Strategy(
-        name="keep_worst",
-        chooser=lambda v, n: sorted(v.survivors,
-                                    key=lambda i: (v.value_at(i, v.time), i))[:n],
-    )
-    r = ss.mc_estimate(GAUSS, SCHEDULE_A, worst, reps=500, seed=2)
-    g = ss.mc_estimate(GAUSS, SCHEDULE_A, ss.greedy_strategy(), reps=500, seed=2)
-    assert r.mean < g.mean
+def test_unlisted_strategy_falls_back_to_reference_engine(monkeypatch):
+    # a custom chooser runs on the chunk engine; every sweep equals the same
+    # sweep with the chunk results replaced by their scalar references
+    s = ss.validate_schedule([1, 3, 5], [4, 2, 1], N=6, T=5)
+    catalog = [*ss.full_catalog(), KEEP_WORST]
+    fast = [ss.mc_estimate(GAUSS, s, KEEP_WORST, reps=5000, seed=2),
+            ss.compare_strategies(GAUSS, s, catalog, reps=5000, seed=2),
+            ss.compare_strategies(GAUSS, s, catalog, reps=300, seed=2, coupled=True)]
+    g = ss.mc_estimate(GAUSS, s, ss.greedy_strategy(), reps=5000, seed=2)
+    assert fast[0].mean < g.mean
+    assert all(np.isfinite(v) for _, _, _, v in fast[1].stage_rows)
+    monkeypatch.setattr(experiments, "final_values_for_chunk", _final_values_by_run_selection)
+    monkeypatch.setattr(experiments, "_stage_loop", _stage_loop_by_run_selection)
+    monkeypatch.setattr(experiments, "headline_violations", _headline_violations_by_build_alignment)
+    assert fast == [ss.mc_estimate(GAUSS, s, KEEP_WORST, reps=5000, seed=2),
+                    ss.compare_strategies(GAUSS, s, catalog, reps=5000, seed=2),
+                    ss.compare_strategies(GAUSS, s, catalog, reps=300, seed=2, coupled=True)]
 
 
 # --- compare_strategies ----------------------------------------------------------
@@ -199,12 +248,7 @@ def test_stage_loop_survivor_means_match_scalar_traces():
 
 
 def test_compare_coupled_counts_match_scalar_witnesses():
-    worst = ss.Strategy(
-        name="keep_worst",
-        chooser=lambda v, n: sorted(v.survivors,
-                                    key=lambda i: (v.value_at(i, v.time), i))[:n],
-    )
-    catalog = [*ss.full_catalog(), worst]
+    catalog = [*ss.full_catalog(), KEEP_WORST]
     s = ss.validate_schedule([1, 3, 5], [4, 2, 1], N=6, T=5)
     t = ss.compare_strategies(GAUSS, s, catalog, reps=150, seed=12, coupled=True)
     plain = ss.compare_strategies(GAUSS, s, catalog, reps=150, seed=12)
@@ -218,17 +262,10 @@ def test_compare_coupled_counts_match_scalar_witnesses():
         assert row.coupled_violations == bad == 0, strat.name
         assert plain_row.coupled_violations is None
         assert row.mean == plain_row.mean
-    assert repr(t.stage_rows) == repr(plain.stage_rows)  # keep_worst rows are NaN
+    assert t.stage_rows == plain.stage_rows
 
 
 # --- strategies are dispatched on their chooser, never on their name ------------
-
-def _keep_worst(calls):
-    def choose(view, size):
-        calls.append(view.stage)
-        return sorted(view.survivors, key=lambda i: (view.value_at(i, view.time), i))[:size]
-    return choose
-
 
 def test_custom_strategy_named_greedy_runs_its_own_chooser():
     s = ss.validate_schedule([1, 3, 5], [4, 2, 1], N=6, T=5)
@@ -240,8 +277,15 @@ def test_custom_strategy_named_greedy_runs_its_own_chooser():
     assert calls
     assert (mine.mean, mine.stderr) == (ref.mean, ref.stderr)
     assert mine.mean < ss.mc_estimate(GAUSS, s, ss.greedy_strategy(), reps=500, seed=2).mean
+    # the paired baseline is the real greedy, added because no chooser is
+    # greedy's rule; the impostor is just another strategy
     table = ss.compare_strategies(GAUSS, s, [impostor, honest], reps=500, seed=2)
-    assert table.row("greedy").mean == table.row("keep_worst").mean == ref.mean
+    baseline, impostor_row, honest_row = table.rows
+    real = ss.compare_strategies(GAUSS, s, [ss.greedy_strategy()], reps=500, seed=2).rows[0]
+    assert baseline == real and baseline.paired_diff_vs_greedy == 0.0
+    assert replace(impostor_row, strategy="keep_worst") == honest_row
+    assert impostor_row.mean == honest_row.mean == ref.mean
+    assert honest_row.paired_diff_vs_greedy < 0
     calls.clear()
     res = ss.verify_mc(GAUSS, s, impostor, reps=30, seed=3)
     assert calls and res.ok

@@ -14,11 +14,11 @@ from staged_select.errors import (
     StrategyViolation,
     ValueHidden,
 )
+from staged_select.experiments import final_values_for_chunk
 from staged_select.selection_engine import (
     RankRule,
     StageRecord,
     batched_stage,
-    has_batched_rule,
     ranked_columns,
     ranked_ids,
 )
@@ -331,6 +331,8 @@ def test_strategy_from_config():
     assert r.aux_seed == 42
     with pytest.raises(ConfigInvalid, match="strategy.name"):
         ss.strategy_from_config({"name": "zigzag"})
+    with pytest.raises(ConfigInvalid, match="strategy.name"):
+        ss.strategy_from_config({"name": []})   # unhashable: no TypeError
     with pytest.raises(ConfigInvalid, match="aux_seed"):
         ss.strategy_from_config({"name": "random_fixed"})
     with pytest.raises(ConfigInvalid, match="aux_seed"):
@@ -351,13 +353,20 @@ def test_trace_csv_shape():
 
 # --- batched stage rule --------------------------------------------------------
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, float("inf"),
-                                          float("-inf")]),
-                         min_size=5, max_size=5), min_size=1, max_size=6),
-       st.lists(st.lists(st.booleans(), min_size=5, max_size=5), min_size=6, max_size=6))
-def test_ranked_columns_matches_ranked_ids(rows, masks):
-    scores = np.array(rows)
+FLOAT_SCORES = [0.0, -0.0, 1.0, -1.0, 2.5, float("inf"), float("-inf")]
+# exact object-dtype scores; masked entries cannot be keyed NaN among these
+EXACT_SCORES = [Fraction(0), Fraction(1), Fraction(-1), Fraction(5, 2), Fraction(1, 3),
+                Fraction(-1, 3), Fraction(10 ** 30)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 6), min_size=5, max_size=5), min_size=1, max_size=6),
+       st.lists(st.lists(st.booleans(), min_size=5, max_size=5), min_size=6, max_size=6),
+       st.booleans())
+def test_ranked_columns_matches_ranked_ids(codes, masks, exact):
+    pool = EXACT_SCORES if exact else FLOAT_SCORES
+    rows = [[pool[c] for c in row] for row in codes]
+    scores = np.array(rows, dtype=object if exact else float)
     mask = np.array(masks[:len(rows)])
     order = ranked_columns(scores, mask)
     for r, row in enumerate(rows):
@@ -371,23 +380,70 @@ def test_batched_stage_matches_scalar_choosers():
     inc = ss.sample_chunk(ss.uniform(-1, 1), s.N, s.T, seed=4, chunk_index=0)[:100]
     values = ss.core_model.value_grid(inc)
     for strat in ss.full_catalog():
-        assert has_batched_rule(strat)
-        alive = np.ones((100, s.N), dtype=bool)
+        kept = []
         for j in range(1, s.stages + 1):
             t = s.times[j - 1]
-            alive = batched_stage(strat, s, j, values[:, :, :t + 1], inc[:, :, :t], alive)
+            alive = batched_stage(strat, s, j, values[:, :, :t + 1], inc[:, :, :t], kept)
+            kept.append(alive)
             for r in (0, 37, 99):
                 x = ss.PathEnsemble.from_increment_rows(inc[r].tolist())
                 rec = ss.run_selection(x, s, strat).stages[j - 1]
                 assert tuple(np.flatnonzero(alive[r]).tolist()) == rec.survivors
 
 
-def test_batched_stage_refuses_strategy_without_rule():
-    odd = ss.Strategy(name="odd", chooser=lambda v, n: list(v.survivors)[:n])
-    assert not has_batched_rule(odd)
-    with pytest.raises(KeyError):
-        batched_stage(odd, SCHEDULE_A, 1, np.zeros((1, 3, 2)), np.zeros((1, 3, 1)),
-                      np.ones((1, 3), dtype=bool))
+def _stage_masks(strat, s, inc):
+    """The survivor masks of every stage of `batched_stage` over a chunk."""
+    values = ss.core_model.value_grid(inc)
+    kept = []
+    for j in range(1, s.stages + 1):
+        t = s.times[j - 1]
+        kept.append(batched_stage(strat, s, j, values[:, :, :t + 1], inc[:, :, :t], kept))
+    return kept
+
+
+def _last_candidates_first(view, size):
+    # not a `RankRule`: reads every visible value of every process, the
+    # frozen casualties included, and keeps the candidates with the largest
+    # visible path sums
+    total = {i: sum(view.path(i)) for i in range(view.n_processes)}
+    return ranked_ids(view.survivors, lambda i: total[i] + view.value_at(i, view.time))[:size]
+
+
+def test_batched_stage_runs_any_chooser_through_its_view():
+    s = ss.validate_schedule([1, 3, 5], [4, 2, 1], N=6, T=5)
+    inc = ss.sample_chunk(ss.uniform(-1, 1), s.N, s.T, seed=9, chunk_index=0)[:60]
+    odd = ss.Strategy(name="odd", chooser=_last_candidates_first)
+    for chunk in (inc, np.frompyfunc(Fraction, 1, 1)(inc)):     # float64 and exact
+        kept = _stage_masks(odd, s, chunk)
+        for r in range(inc.shape[0]):
+            x = ss.PathEnsemble.from_increment_rows(chunk[r].tolist())
+            want = ss.run_selection(x, s, odd).survivor_sets()
+            assert [tuple(np.flatnonzero(m[r]).tolist()) for m in kept] == want, r
+
+
+def test_batched_stage_keeps_strategy_legality_and_hiding():
+    s = ss.validate_schedule([1, 3, 5], [4, 2, 1], N=6, T=5)
+    inc = ss.sample_chunk(ss.uniform(-1, 1), s.N, s.T, seed=9, chunk_index=0)[:5]
+
+    def peek_at_casualty(view, size):
+        if view.stage == 2:
+            view.value_at(next(i for i in range(view.n_processes)
+                               if i not in view.survivors), view.time)
+        return sorted(view.survivors)[:size]
+
+    def one_too_many(view, size):
+        return sorted(view.survivors)[:size + 1]
+
+    for chooser, error in ((peek_at_casualty, ValueHidden), (one_too_many, StrategyViolation)):
+        strat = ss.Strategy(name="bad", chooser=chooser)
+        with pytest.raises(error):
+            ss.run_selection(ss.PathEnsemble.from_increment_rows(inc[0].tolist()), s, strat)
+        with pytest.raises(error):
+            _stage_masks(strat, s, inc)
+        with pytest.raises(error):
+            final_values_for_chunk(inc, s, strat)
+        with pytest.raises(error):
+            ss.verify_mc(ss.uniform(-1, 1), s, strat, reps=5, seed=9)
 
 
 @pytest.mark.parametrize("aux_seed", ["abc", 1.9, True, -1, None])
@@ -454,12 +510,12 @@ def test_batched_stage_matches_hand_written_choosers_on_tied_atoms():
     inc = np.array([[[float(v) for v in row] for row in x.increments] for x, _ in atoms])
     values = ss.core_model.value_grid(inc)
     for derived, reference in zip(ss.full_catalog(), reference_catalog()):
-        alive = np.ones((len(atoms), s.N), dtype=bool)
+        kept = []
         traces = [ss.run_selection(x, s, reference) for x, _ in atoms]
         for j in range(1, s.stages + 1):
             t = s.times[j - 1]
-            alive = batched_stage(derived, s, j, values[:, :, :t + 1], inc[:, :, :t], alive)
-            got = [tuple(np.flatnonzero(row).tolist()) for row in alive]
+            kept.append(batched_stage(derived, s, j, values[:, :, :t + 1], inc[:, :, :t], kept))
+            got = [tuple(np.flatnonzero(row).tolist()) for row in kept[-1]]
             assert got == [tr.stages[j - 1].survivors for tr in traces], (derived.name, j)
 
 
@@ -469,11 +525,10 @@ def test_strategy_with_a_rank_rule_runs_in_both_engines():
         return increments[..., 0]
 
     rule = ss.Strategy(name="first_step", chooser=RankRule(first_step))
-    assert has_batched_rule(rule)
     s = ss.validate_schedule([1, 2], [2, 1], N=3, T=2)
     x = ss.PathEnsemble.from_increment_rows([[1, 5], [2, -9], [-1, 0]])
     assert ss.run_selection(x, s, rule).survivor_sets() == [(0, 1), (1,)]
     inc = np.array([x.increments], dtype=float)
     values = ss.core_model.value_grid(inc)
-    alive = batched_stage(rule, s, 1, values[:, :, :2], inc[:, :, :1], np.ones((1, 3), dtype=bool))
+    alive = batched_stage(rule, s, 1, values[:, :, :2], inc[:, :, :1], [])
     assert alive.tolist() == [[True, True, False]]

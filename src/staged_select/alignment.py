@@ -25,10 +25,11 @@ Because Y's rows accumulate exactly the same increment values as X's rows
 hold exactly in floating point as well: float addition is monotone in each
 argument, so no tolerance is needed anywhere in this module.
 
-Every sweep (`verify_mc`, `verify_exhaustive`, coupled comparisons) couples
-and audits whole chunks, float64 or exact, for any strategy (`couple_chunk`,
-`audit_chunk`).  The per-realization calls (`build_alignment`, the `check_*`
-functions, `invert_alignment`) are the reference the tests pin them to.
+One walk (`_walk`) builds the coupling.  Every sweep couples and audits
+whole chunks, float64 or exact, for any strategy (`couple_chunk`,
+`audit_chunk`); the per-realization calls (`build_alignment`,
+`invert_alignment`, `check_block_permutation`) run it on a one-row exact
+object chunk.  Tests pin both to the list walk in `tests/scalar_reference.py`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,12 +56,10 @@ from .errors import DimensionMismatch, NonDeterministicStrategy
 from .oracle import exact_expected_value
 from .selection_engine import (
     RankRule,
-    StagewiseRun,
     Strategy,
     batched_stage,
     greedy_strategy,
     ranked_columns,
-    ranked_ids,
 )
 
 
@@ -123,134 +122,68 @@ class AlignmentWitness:
 
 
 # ---------------------------------------------------------------------------
-# the dual walk
+# one realization: a one-row call of the chunk walk
 # ---------------------------------------------------------------------------
 
-def _extend_values(values: list[list[Number]], increments: Sequence[Sequence[Number]],
-                   lo: int, hi: int) -> None:
-    # strictly sequential accumulation; same operation order as the
-    # PathEnsemble constructor so rebuilt grids match bit for bit
-    for row_v, row_i in zip(values, increments):
-        acc = row_v[-1]
-        for c in range(lo, hi):
-            acc = acc + row_i[c]
-            row_v.append(acc)
-
-
-def _stage_pairs(
-    stage: int,
-    x_rec,
-    y_rec,
-    x_values: Sequence[Sequence[Number]],
-    y_values: Sequence[Sequence[Number]],
-    t_j: int,
-    frozen: list[Pair],
-) -> list[Pair]:
-    """Pairs in effect for the next block: fresh survivor pairs plus the
-    frozen eliminated-cohort pairs (extended with this stage's casualties)."""
-    xs = ranked_ids(x_rec.survivors, lambda i: x_values[i][t_j])
-    ys = ranked_ids(y_rec.survivors, lambda i: y_values[i][t_j])
-    survivor_pairs = [
-        Pair(key=("survivor", r + 1), x_process=xn, y_process=ym)
-        for r, (xn, ym) in enumerate(zip(xs, ys))
-    ]
-    x_out = ranked_ids(x_rec.eliminated, lambda i: x_values[i][t_j])
-    y_out = ranked_ids(y_rec.eliminated, lambda i: y_values[i][t_j])
-    frozen.extend(
-        Pair(key=("elim", stage, r + 1), x_process=xn, y_process=ym)
-        for r, (xn, ym) in enumerate(zip(x_out, y_out))
-    )
-    return survivor_pairs + list(frozen)
-
-
-def _dual_walk(s: Schedule, alg: Strategy, x_inc, y_inc, fill: str,
-               known_values):
-    """Run the strategy on X and greedy on Y in lockstep, building the
-    not-yet-known side's increment grid block by block.
-
-    fill="y": X is complete (known_values is its value grid), Y's blocks
-    past the first are written.  fill="x": the mirror image.  Both
-    increment grids must already agree on block 1.  The built side's values
-    are accumulated with the same sequential sums the `PathEnsemble`
-    constructor uses, so a later canonical rebuild is bit-identical.
-    """
-    t1 = s.times[0]
-    spans = s.block_bounds()
-    if fill == "y":
-        x_vals = known_values
-        y_vals = [list(row[: t1 + 1]) for row in known_values]
-    else:
-        y_vals = known_values
-        x_vals = [list(row[: t1 + 1]) for row in known_values]
-
-    x_run = StagewiseRun(s, alg, x_vals, x_inc, detail=False)
-    y_run = StagewiseRun(s, greedy_strategy(), y_vals, y_inc, detail=False)
-
-    by_block: list[tuple[Pair, ...]] = [
-        tuple(Pair(key=("init", i), x_process=i, y_process=i) for i in range(s.N))
-    ]
-    frozen: list[Pair] = []
-    for j in range(1, s.stages + 1):
-        t_j = s.times[j - 1]
-        x_rec = x_run.advance()
-        y_rec = y_run.advance()
-        if j == s.stages:
-            break
-        pairs = _stage_pairs(j, x_rec, y_rec, x_vals, y_vals, t_j, frozen)
-        by_block.append(tuple(pairs))
-        lo, hi = spans[j]
-        if fill == "y":
-            for p in pairs:
-                y_inc[p.y_process].extend(x_inc[p.x_process][lo:hi])
-            _extend_values(y_vals, y_inc, lo, hi)
-        else:
-            for p in pairs:
-                x_inc[p.x_process].extend(y_inc[p.y_process][lo:hi])
-            _extend_values(x_vals, x_inc, lo, hi)
-
-    return by_block, x_vals, y_vals, x_run, y_run
-
-
-def _require_deterministic(alg: Strategy) -> None:
+def _require_coupling(inc: np.ndarray, s: Schedule, alg: Strategy) -> None:
     if not alg.deterministic:
         raise NonDeterministicStrategy(
             f"alignment needs a deterministic strategy, {alg.name} is not"
         )
+    if inc.shape[1:] != (s.N, s.T):
+        raise DimensionMismatch(
+            f"rows are {inc.shape[1]}x{inc.shape[2]}, schedule wants {s.N}x{s.T}"
+        )
+
+
+def _row(grid) -> np.ndarray:
+    """A one-row exact object chunk, so the walk does Python arithmetic."""
+    return np.array([grid], dtype=object)
+
+
+def _keyed_pairs(s: Schedule, pairing, y_kept, y_val: np.ndarray) -> tuple[tuple[Pair, ...], ...]:
+    """A one-row walk's pairing as keyed `Pair`s, block by block.  Each key
+    is read from the y side's rank at t_j; a block lists the survivor pairs
+    by rank, then the frozen eliminated pairs by (stage, rank)."""
+    by_block = [tuple(Pair(key=("init", i), x_process=i, y_process=i) for i in range(s.N))]
+    frozen: list[Pair] = []
+    alive = np.ones((1, s.N), dtype=bool)
+    for j, (src, kept) in enumerate(zip(pairing[1:], y_kept), start=1):
+        scores = y_val[:, :, s.times[j - 1]]
+
+        def cohort(mask):
+            return ranked_columns(scores, mask)[0, :np.count_nonzero(mask)].tolist()
+
+        survivors = [Pair(key=("survivor", r), x_process=int(src[0, y]), y_process=y)
+                     for r, y in enumerate(cohort(kept), start=1)]
+        frozen += [Pair(key=("elim", j, r), x_process=int(src[0, y]), y_process=y)
+                   for r, y in enumerate(cohort(alive & ~kept), start=1)]
+        by_block.append(tuple(survivors + frozen))
+        alive = kept
+    return tuple(by_block)
 
 
 def build_alignment(x: PathEnsemble, s: Schedule, alg: Strategy) -> AlignmentWitness:
-    """Construct Y and the pairing for a strategy on one realization."""
-    _require_deterministic(alg)
-    if x.n_processes != s.N or x.horizon != s.T:
-        raise DimensionMismatch(
-            f"ensemble is {x.n_processes}x{x.horizon}, schedule wants {s.N}x{s.T}"
-        )
-    t1 = s.times[0]
-    y_inc = [list(row[:t1]) for row in x.increments]
-    by_block, x_vals, y_vals, x_run, y_run = _dual_walk(
-        s, alg, x.increments, y_inc, fill="y", known_values=x.values
-    )
-    # y_vals are the sequential running sums of y_inc, so constructing the
-    # ensemble directly keeps the canonical value/increment consistency
-    y = PathEnsemble(
-        values=tuple(tuple(row) for row in y_vals),
-        increments=tuple(tuple(row) for row in y_inc),
-        model_tag=x.model_tag,
-    )
-    dominance = _dominance_entries(s, by_block, x_vals, y_vals)
-    x_final = x_run.survivors[0]
-    y_final = y_run.survivors[0]
+    """Construct Y and the pairing for a strategy on one realization: the
+    chunk walk (`couple_chunk`) on X as a one-row exact object chunk."""
+    c = couple_chunk(_row(x.increments), s, alg, invert=False)
+    y = PathEnsemble.from_increment_rows(c.y_inc[0].tolist(), model_tag=x.model_tag)
+    by_block = _keyed_pairs(s, c.pairing, c.y_kept, c.y_val)
+
+    def survivors(kept):
+        return tuple(tuple(np.flatnonzero(m[0]).tolist()) for m in kept)
+
     return AlignmentWitness(
         x=x,
         y=y,
         schedule=s,
         strategy=alg.describe(),
-        pairing=PairingSequence(by_block=tuple(by_block)),
-        dominance=tuple(dominance),
-        alg_final=x_vals[x_final][s.T],
-        greedy_final=y_vals[y_final][s.T],
-        x_survivors=tuple(rec.survivors for rec in x_run.records),
-        y_survivors=tuple(rec.survivors for rec in y_run.records),
+        pairing=PairingSequence(by_block=by_block),
+        dominance=tuple(_dominance_entries(s, by_block, x.values, y.values)),
+        alg_final=c.alg_final[0],
+        greedy_final=c.greedy_final[0],
+        x_survivors=survivors(c.x_kept),
+        y_survivors=survivors(c.y_kept),
     )
 
 
@@ -259,24 +192,14 @@ def invert_alignment(y: PathEnsemble, s: Schedule, alg: Strategy) -> PathEnsembl
 
     Works stage by stage: X agrees with Y up to t_1; given X up to t_{j-1}
     the strategy's selections and the pairing are recomputable, so X's
-    block-j rows can be read off Y's paired rows.  The round trip through
-    `build_alignment` is exact, including for float-valued paths.
+    block-j rows can be read off Y's paired rows.  This is the mirror walk
+    of `couple_chunk` on Y as a one-row exact object chunk.  The round trip
+    through `build_alignment` is exact, including for float-valued paths.
     """
-    _require_deterministic(alg)
-    if y.n_processes != s.N or y.horizon != s.T:
-        raise DimensionMismatch(
-            f"ensemble is {y.n_processes}x{y.horizon}, schedule wants {s.N}x{s.T}"
-        )
-    t1 = s.times[0]
-    x_inc = [list(row[:t1]) for row in y.increments]
-    _, x_vals, _, _, _ = _dual_walk(
-        s, alg, x_inc, y.increments, fill="x", known_values=y.values
-    )
-    return PathEnsemble(
-        values=tuple(tuple(row) for row in x_vals),
-        increments=tuple(tuple(row) for row in x_inc),
-        model_tag=y.model_tag,
-    )
+    yi = _row(y.increments)
+    _require_coupling(yi, s, alg)
+    x_inc = _mirror_walk(alg, s, yi, _row(y.values))[0]
+    return PathEnsemble.from_increment_rows(x_inc[0].tolist(), model_tag=y.model_tag)
 
 
 def _dominance_entries(s: Schedule, by_block, x_vals, y_vals) -> list[DominanceEntry]:
@@ -288,20 +211,15 @@ def _dominance_entries(s: Schedule, by_block, x_vals, y_vals) -> list[DominanceE
     must stay at or above the original.  Frozen eliminated pairs are part of
     the permutation but carry no inequality.
     """
-    entries = []
-    for j in range(1, s.stages + 1):
-        t_j = s.times[j - 1]
-        for p in by_block[j - 1]:
-            if j > 1 and p.key[0] != "survivor":
-                continue
-            xv = x_vals[p.x_process][t_j]
-            yv = y_vals[p.y_process][t_j]
-            entries.append(DominanceEntry(
-                stage=j, time=t_j, key=p.key,
-                x_process=p.x_process, y_process=p.y_process,
-                x_value=xv, y_value=yv, ok=yv >= xv,
-            ))
-    return entries
+    return [_entry(j, s.times[j - 1], p.key, p.x_process, p.y_process, x_vals, y_vals)
+            for j in range(1, s.stages + 1) for p in by_block[j - 1]
+            if j == 1 or p.key[0] == "survivor"]
+
+
+def _entry(stage: int, time: int, key: tuple, x: int, y: int, x_vals, y_vals) -> DominanceEntry:
+    xv, yv = x_vals[x][time], y_vals[y][time]
+    return DominanceEntry(stage=stage, time=time, key=key, x_process=x, y_process=y,
+                          x_value=xv, y_value=yv, ok=yv >= xv)
 
 
 # ---------------------------------------------------------------------------
@@ -326,19 +244,11 @@ def check_pairwise_dominance(w: AlignmentWitness, s: Schedule) -> DominanceRepor
     (strategy final on X <= greedy final on Y) from the witness grids.
     A violation indicates an implementation bug, never a data condition.
     """
-    entries = []
-    for e in w.dominance:
-        xv = w.x.values[e.x_process][e.time]
-        yv = w.y.values[e.y_process][e.time]
-        entries.append(DominanceEntry(
-            stage=e.stage, time=e.time, key=e.key,
-            x_process=e.x_process, y_process=e.y_process,
-            x_value=xv, y_value=yv, ok=yv >= xv,
-        ))
-    violations = tuple(e for e in entries if not e.ok)
+    entries = tuple(_entry(e.stage, e.time, e.key, e.x_process, e.y_process,
+                           w.x.values, w.y.values) for e in w.dominance)
     return DominanceReport(
-        entries=tuple(entries),
-        violations=violations,
+        entries=entries,
+        violations=tuple(e for e in entries if not e.ok),
         alg_final=w.alg_final,
         greedy_final=w.greedy_final,
         headline_ok=w.alg_final <= w.greedy_final,
@@ -366,27 +276,6 @@ class PermutationReport:
         return all(b.ok for b in self.blocks)
 
 
-def _pairs_from_prefix(w: AlignmentWitness, s: Schedule, alg: Strategy,
-                       upto_stage: int) -> tuple[Pair, ...]:
-    """Recompute the pairing fixed at t_{upto_stage} using only data up to
-    that time: both grids are physically truncated, so any dependence on
-    later values would crash or differ."""
-    t_cut = s.times[upto_stage - 1]
-    x_inc = [row[:t_cut] for row in w.x.increments]
-    y_inc = [row[:t_cut] for row in w.y.increments]
-    x_vals = [row[: t_cut + 1] for row in w.x.values]
-    y_vals = [row[: t_cut + 1] for row in w.y.values]
-    x_run = StagewiseRun(s, alg, x_vals, x_inc, detail=False)
-    y_run = StagewiseRun(s, greedy_strategy(), y_vals, y_inc, detail=False)
-    frozen: list[Pair] = []
-    pairs: list[Pair] = []
-    for j in range(1, upto_stage + 1):
-        x_rec = x_run.advance()
-        y_rec = y_run.advance()
-        pairs = _stage_pairs(j, x_rec, y_rec, x_vals, y_vals, s.times[j - 1], frozen)
-    return tuple(pairs)
-
-
 def check_block_permutation(w: AlignmentWitness, s: Schedule,
                             alg: Strategy) -> PermutationReport:
     """Verify that each block of Y's increments is exactly a pairing-applied
@@ -395,6 +284,7 @@ def check_block_permutation(w: AlignmentWitness, s: Schedule,
     `alg` and greedy on both grids cut at t_{j-1}.
     """
     spans = s.block_bounds()
+    xi, xv, yi, yv = map(_row, (w.x.increments, w.x.values, w.y.increments, w.y.values))
     checks = []
     for j in range(1, s.stages + 1):
         pairs = w.pairing.by_block[j - 1]
@@ -409,7 +299,12 @@ def check_block_permutation(w: AlignmentWitness, s: Schedule,
         if j == 1:
             measurable = all(p.x_process == p.y_process for p in pairs)
         else:
-            measurable = set(_pairs_from_prefix(w, s, alg, j - 1)) == set(pairs)
+            cut = s.times[j - 2]
+            pairing, _, y_kept = _walk(alg, s, xi[:, :, :cut], xv[:, :, :cut + 1],
+                                       yi[:, :, :cut], yv[:, :, :cut + 1],
+                                       fill=None, stages=j - 1)
+            recomputed = _keyed_pairs(s, pairing, y_kept, yv[:, :, :cut + 1])[-1]
+            measurable = set(recomputed) == set(pairs)
         checks.append(BlockCheck(
             block=j, bijective=bijective, rows_match=rows_match,
             history_measurable=measurable,
@@ -485,7 +380,7 @@ def _walk(alg: Strategy, s: Schedule, xi, xv, yi, yv, fill: str | None,
     paired by rank at t_j; those pairs stay frozen.  With fill="y" Y's
     block j+1 is then taken from X's paired rows, with fill="x" the mirror
     image; values are extended by a sequential cumsum from the value at
-    t_j, bit-identical to `_extend_values`.  fill=None only ranks, on grids
+    t_j, bit-identical to `_running_sums`.  fill=None only ranks, on grids
     that already exist (the history-measurability recomputation), and
     `stages` stops it early.  Returns (pairing, x_kept, y_kept).
     """
@@ -528,28 +423,27 @@ def _extend_value_grid(val: np.ndarray, inc: np.ndarray, lo: int, hi: int) -> No
     np.cumsum(val[:, :, lo:hi + 1], axis=2, out=val[:, :, lo:hi + 1])
 
 
+def _mirror_walk(alg: Strategy, s: Schedule, yi: np.ndarray, yv: np.ndarray):
+    """X's grids rebuilt from the image's by the mirror walk (fill="x")."""
+    xi, xv = _first_block_copy(yi, yv, s.times[0])
+    _walk(alg, s, xi, xv, yi, yv, fill="x")
+    return xi, xv
+
+
 def couple_chunk(inc: np.ndarray, s: Schedule, alg: Strategy,
                  invert: bool = True) -> ChunkCoupling:
     """Build the coupling for every row of an increment chunk (reps, N, T)
     at once, and with `invert` the mirror walk that rebuilds X from Y.
 
     The chunk may be float64 or exact objects (Fractions); the grids keep
-    its dtype.  A test pins every field to `build_alignment` and
-    `invert_alignment` row by row.
+    its dtype.  Tests pin every field, row by row, to the list walk in
+    `tests/scalar_reference.py`.
     """
-    _require_deterministic(alg)
-    if inc.shape[1:] != (s.N, s.T):
-        raise DimensionMismatch(
-            f"chunk rows are {inc.shape[1]}x{inc.shape[2]}, schedule wants {s.N}x{s.T}"
-        )
+    _require_coupling(inc, s, alg)
     xv = value_grid(inc)
-    t1 = s.times[0]
-    yi, yv = _first_block_copy(inc, xv, t1)
+    yi, yv = _first_block_copy(inc, xv, s.times[0])
     pairing, x_kept, y_kept = _walk(alg, s, inc, xv, yi, yv, fill="y")
-    back_i = back_v = None
-    if invert:
-        back_i, back_v = _first_block_copy(yi, yv, t1)
-        _walk(alg, s, back_i, back_v, yi, yv, fill="x")
+    back_i, back_v = _mirror_walk(alg, s, yi, yv) if invert else (None, None)
     return ChunkCoupling(
         x_inc=inc, x_val=xv, y_inc=yi, y_val=yv, pairing=pairing,
         x_kept=x_kept, y_kept=y_kept, x_back_inc=back_i, x_back_val=back_v,

@@ -7,7 +7,7 @@ config values.  Exit codes are stable across subcommands:
 * 0 success / verified
 * 1 verification failure (a theorem check found a violation — a bug)
 * 2 invalid configuration
-* 3 an enumeration, search or sampled-chunk cap was exceeded
+* 3 an enumeration, search, chunk, replication or trace cap was exceeded
 * 4 an oracle's independence hypothesis was violated
 
 All outputs are reproducible byte for byte given the same config and seeds,
@@ -47,6 +47,7 @@ from .errors import (
     InvalidReps,
     ScheduleInvalid,
     StagedSelectError,
+    TraceTooLarge,
 )
 from .selection_engine import (
     TRACE_CSV_HEADER,
@@ -55,6 +56,12 @@ from .selection_engine import (
     strategy_from_config,
     trace_to_csv_rows,
 )
+
+
+#: cap on the values (reps x N x (T+1)) of `simulate`'s traces, which it
+#: holds as Python rows: peak RSS measured at ~300 B per value for CSV and
+#: ~1 KiB for JSON (N=4, T from 5e4 to 2e5), ~1 GiB at the cap
+TRACE_VALUE_CAP = 2 ** 20
 
 
 def _load_config(path: str) -> dict:
@@ -176,6 +183,9 @@ def cmd_simulate(args) -> int:
     strategy = strategy_from_config(cfg["strategy"])
     seed = _setting(args.seed, cfg, "seed")
     reps = _setting(args.reps, cfg, "reps", minimum=1, default=1)
+    values = reps * schedule.N * (schedule.T + 1)
+    if values > TRACE_VALUE_CAP:
+        raise TraceTooLarge(values, TRACE_VALUE_CAP)
 
     rows = []
     summaries = []

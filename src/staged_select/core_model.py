@@ -31,6 +31,7 @@ from .errors import (
     LastTimeNotT,
     NonDecreasingSizes,
     NonMonotoneTimes,
+    ReplicationsTooLarge,
     SizesExceedN,
 )
 
@@ -361,6 +362,12 @@ REPLICATION_CHUNK = 4096
 #: N x T from 128 to 3,200), ~0.9 GiB at the cap
 CHUNK_VALUE_CAP = 2 ** 24
 
+#: cap on the replications of one sweep, 24,415 chunks.  At the cap the
+#: plan holds 2.4 MB and the chunk results of a 5-strategy, 3-stage
+#: `compare` 58 MB (2.4 KB per chunk), and that `compare` runs for about
+#: half an hour at the `monte_carlo` bench rate on 2 cores
+REPLICATION_CAP = 10 ** 8
+
 
 def _draw_categorical(support: Sequence[Number], probs: Sequence[Fraction],
                       shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
@@ -444,7 +451,11 @@ def value_grid(inc: np.ndarray) -> np.ndarray:
 
 def replication_plan(reps: int, chunk: int = REPLICATION_CHUNK) -> list[tuple[int, int]]:
     """(chunk_index, rows) pairs covering `reps` replications: the first
-    `rows` rows of each chunk, in chunk order."""
+    `rows` rows of each chunk, in chunk order.  More than
+    `REPLICATION_CAP` replications raise `ReplicationsTooLarge` before the
+    list is built."""
+    if reps > REPLICATION_CAP:
+        raise ReplicationsTooLarge(reps, REPLICATION_CAP)
     return [(c, min(chunk, reps - c * chunk)) for c in range(-(-reps // chunk))]
 
 

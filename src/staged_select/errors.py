@@ -75,6 +75,18 @@ class ChunkTooLarge(CapExceeded):
     message = "a sampled chunk needs {count} values (chunk x N x T), exceeding the cap of {cap}"
 
 
+class ReplicationsTooLarge(CapExceeded):
+    """A Monte Carlo sweep would run more replications than the cap."""
+
+    message = "the sweep needs {count} replications, exceeding the cap of {cap}"
+
+
+class TraceTooLarge(CapExceeded):
+    """`simulate`'s trace rows would hold more values than the cap."""
+
+    message = "the traces need {count} values (reps x N x (T+1)), exceeding the cap of {cap}"
+
+
 class IndependenceViolated(StagedSelectError):
     """An exact oracle was given a model that does not have independent
     increments (e.g. a persistent-drift model)."""

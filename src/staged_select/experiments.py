@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass
 
@@ -79,9 +80,13 @@ def final_values_for_chunk(inc: np.ndarray, s: Schedule, alg: Strategy) -> np.nd
 # ---------------------------------------------------------------------------
 
 def _map_ordered(fn, args: list, threads: int) -> list:
-    if threads <= 1:
+    # `Executor.map` submits every item at once and the pool starts a
+    # thread per submit up to `max_workers`, so more workers than cores or
+    # items would only start idle threads
+    workers = min(threads, os.cpu_count() or 1, len(args))
+    if workers <= 1:
         return [fn(a) for a in args]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, args))
 
 

@@ -408,24 +408,20 @@ def stage_decision(
 
 
 class StagewiseRun:
-    """Incremental strategy execution over a (possibly growing) value grid.
+    """Incremental strategy execution over a value grid, one stage at a
+    time, with the temporal index bookkeeping of each stage.
 
-    The alignment machinery re-runs strategies while it is still building
-    the grid block by block, so this runner only ever reads values up to the
-    stage it is asked to advance to.  Grids are held by reference; views
-    are read-only by contract.  With `detail=False` the temporal index
-    bookkeeping is skipped (the alignment walks do not need it).
+    Each stage reads values only up to its own observation time.  Grids
+    are held by reference; views are read-only by contract.
     """
 
     def __init__(self, schedule: Schedule, strategy: Strategy,
                  values: Sequence[Sequence[Number]],
-                 increments: Sequence[Sequence[Number]],
-                 detail: bool = True):
+                 increments: Sequence[Sequence[Number]]):
         self.schedule = schedule
         self.strategy = strategy
         self.values = values
         self.increments = increments
-        self.detail = detail
         self.survivors: tuple[int, ...] = tuple(range(schedule.N))
         self.horizons = [0] * schedule.N
         self.records: list[StageRecord] = []
@@ -442,13 +438,9 @@ class StagewiseRun:
             self.horizons[i] = t_j
         survivors = stage_decision(self.schedule, self.strategy, j, candidates,
                                    self.values, self.increments, tuple(self.horizons))
-        if self.detail:
-            values_at_tj = [self.values[i][t_j] for i in range(self.schedule.N)]
-            indices = tuple(sorted(assign_temporal_indices(self.records, j, values_at_tj).items()))
-            observed = tuple((i, self.values[i][t_j]) for i in candidates)
-        else:
-            indices = ()
-            observed = ()
+        values_at_tj = [self.values[i][t_j] for i in range(self.schedule.N)]
+        indices = tuple(sorted(assign_temporal_indices(self.records, j, values_at_tj).items()))
+        observed = tuple((i, self.values[i][t_j]) for i in candidates)
         eliminated = tuple(i for i in candidates if i not in survivors)
         record = StageRecord(
             stage=j,

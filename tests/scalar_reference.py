@@ -3,8 +3,10 @@
 The catalog strategies are written here a second time, by hand, as plain
 choosers over a `HistoryView`: the package defines each of them once, as a
 `RankRule`, and the tests check that the rule picks what these choosers
-pick.  `audit_case` is the per-realization coupling audit composed of the
-public scalar calls, the reference for the chunk audit.  The other helpers
+pick.  The coupling is written a second time too, as the list walk
+(`reference_alignment`, `reference_inversion`,
+`reference_block_permutation`); `audit_case`, the per-realization audit
+composed of them, is the reference for the chunk audit.  The other helpers
 are brute-force or construction shortcuts that only tests need.
 """
 
@@ -18,7 +20,7 @@ import numpy as np
 import staged_select as ss
 from staged_select import alignment
 from staged_select.errors import InvalidDimensions, SearchTooLarge
-from staged_select.selection_engine import HistoryView, ranked_ids
+from staged_select.selection_engine import HistoryView, ranked_ids, stage_decision
 
 
 # --- the catalog, as hand-written choosers ------------------------------------
@@ -77,17 +79,172 @@ def reference_catalog(aux_seed: int = 2024) -> list[ss.Strategy]:
     ]
 
 
-# --- the coupling audit, one realization at a time ------------------------------
+# --- the coupling, as the list walk ----------------------------------------------
+#
+# The package builds the coupling with one chunk walk (`alignment._walk`),
+# also for one realization.  This is the coupling written a second time, on
+# nested lists, with the hand-written greedy: run the strategy on X and
+# greedy on Y in lockstep and grow the unknown side block by block.
+
+HAND_GREEDY = ss.Strategy(name="greedy", chooser=top)
+
+
+def _decisions(s: ss.Schedule, alg: ss.Strategy, values, increments):
+    """The strategy's checked stage decisions, one (survivors, eliminated)
+    pair per `next`.  Stage j reads the grids only up to t_j, so the
+    caller may extend them between stages."""
+    survivors, horizons = tuple(range(s.N)), [0] * s.N
+    for j in range(1, s.stages + 1):
+        for i in survivors:
+            horizons[i] = s.times[j - 1]
+        kept = stage_decision(s, alg, j, survivors, values, increments, tuple(horizons))
+        yield kept, tuple(i for i in survivors if i not in kept)
+        survivors = kept
+
+
+def _extend_values(values, increments, lo: int, hi: int) -> None:
+    # strictly sequential accumulation, as in the `PathEnsemble` constructor
+    for row_v, row_i in zip(values, increments):
+        acc = row_v[-1]
+        for c in range(lo, hi):
+            acc = acc + row_i[c]
+            row_v.append(acc)
+
+
+def _stage_pairs(stage, x_dec, y_dec, x_values, y_values, t_j, frozen):
+    """Pairs in effect for the next block: fresh survivor pairs plus the
+    frozen eliminated-cohort pairs (extended with this stage's casualties)."""
+    (x_kept, x_out), (y_kept, y_out) = x_dec, y_dec
+    xs = ranked_ids(x_kept, lambda i: x_values[i][t_j])
+    ys = ranked_ids(y_kept, lambda i: y_values[i][t_j])
+    survivor_pairs = [alignment.Pair(key=("survivor", r + 1), x_process=xn, y_process=ym)
+                      for r, (xn, ym) in enumerate(zip(xs, ys))]
+    x_out = ranked_ids(x_out, lambda i: x_values[i][t_j])
+    y_out = ranked_ids(y_out, lambda i: y_values[i][t_j])
+    frozen.extend(alignment.Pair(key=("elim", stage, r + 1), x_process=xn, y_process=ym)
+                  for r, (xn, ym) in enumerate(zip(x_out, y_out)))
+    return survivor_pairs + list(frozen)
+
+
+def _dual_walk(s, alg, x_inc, y_inc, fill: str, known_values):
+    """fill="y": X is complete (known_values is its value grid) and Y's
+    blocks past the first are written; fill="x": the mirror image.  Both
+    increment grids must already agree on block 1."""
+    t1 = s.times[0]
+    spans = s.block_bounds()
+    if fill == "y":
+        x_vals = known_values
+        y_vals = [list(row[: t1 + 1]) for row in known_values]
+    else:
+        y_vals = known_values
+        x_vals = [list(row[: t1 + 1]) for row in known_values]
+    x_run = _decisions(s, alg, x_vals, x_inc)
+    y_run = _decisions(s, HAND_GREEDY, y_vals, y_inc)
+    by_block = [tuple(alignment.Pair(key=("init", i), x_process=i, y_process=i)
+                      for i in range(s.N))]
+    frozen: list = []
+    x_survivors, y_survivors = [], []
+    for j in range(1, s.stages + 1):
+        x_dec, y_dec = next(x_run), next(y_run)
+        x_survivors.append(x_dec[0])
+        y_survivors.append(y_dec[0])
+        if j == s.stages:
+            break
+        pairs = _stage_pairs(j, x_dec, y_dec, x_vals, y_vals, s.times[j - 1], frozen)
+        by_block.append(tuple(pairs))
+        lo, hi = spans[j]
+        if fill == "y":
+            for p in pairs:
+                y_inc[p.y_process].extend(x_inc[p.x_process][lo:hi])
+            _extend_values(y_vals, y_inc, lo, hi)
+        else:
+            for p in pairs:
+                x_inc[p.x_process].extend(y_inc[p.y_process][lo:hi])
+            _extend_values(x_vals, x_inc, lo, hi)
+    return by_block, x_vals, y_vals, tuple(x_survivors), tuple(y_survivors)
+
+
+def _grids(values, increments, model_tag) -> ss.PathEnsemble:
+    return ss.PathEnsemble(values=tuple(map(tuple, values)),
+                           increments=tuple(map(tuple, increments)), model_tag=model_tag)
+
+
+def reference_alignment(x: ss.PathEnsemble, s: ss.Schedule, alg: ss.Strategy):
+    """The `AlignmentWitness` of one realization, by the list walk."""
+    y_inc = [list(row[: s.times[0]]) for row in x.increments]
+    by_block, x_vals, y_vals, x_survivors, y_survivors = _dual_walk(
+        s, alg, x.increments, y_inc, "y", x.values)
+    return alignment.AlignmentWitness(
+        x=x,
+        y=_grids(y_vals, y_inc, x.model_tag),
+        schedule=s,
+        strategy=alg.describe(),
+        pairing=alignment.PairingSequence(by_block=tuple(by_block)),
+        dominance=tuple(alignment._dominance_entries(s, by_block, x_vals, y_vals)),
+        alg_final=x_vals[x_survivors[-1][0]][s.T],
+        greedy_final=y_vals[y_survivors[-1][0]][s.T],
+        x_survivors=x_survivors,
+        y_survivors=y_survivors,
+    )
+
+
+def reference_inversion(y: ss.PathEnsemble, s: ss.Schedule, alg: ss.Strategy) -> ss.PathEnsemble:
+    """X rebuilt from an image Y by the mirror list walk."""
+    x_inc = [list(row[: s.times[0]]) for row in y.increments]
+    x_vals = _dual_walk(s, alg, x_inc, y.increments, "x", y.values)[1]
+    return _grids(x_vals, x_inc, y.model_tag)
+
+
+def _pairs_from_prefix(w, s, alg, upto_stage: int):
+    """The pairing fixed at t_{upto_stage}, from both grids physically
+    truncated there: any dependence on later values would crash or differ."""
+    t_cut = s.times[upto_stage - 1]
+    x_inc = [row[:t_cut] for row in w.x.increments]
+    y_inc = [row[:t_cut] for row in w.y.increments]
+    x_vals = [row[: t_cut + 1] for row in w.x.values]
+    y_vals = [row[: t_cut + 1] for row in w.y.values]
+    x_run = _decisions(s, alg, x_vals, x_inc)
+    y_run = _decisions(s, HAND_GREEDY, y_vals, y_inc)
+    frozen: list = []
+    pairs: list = []
+    for j in range(1, upto_stage + 1):
+        pairs = _stage_pairs(j, next(x_run), next(y_run), x_vals, y_vals, s.times[j - 1], frozen)
+    return tuple(pairs)
+
+
+def reference_block_permutation(w, s: ss.Schedule, alg: ss.Strategy):
+    """`check_block_permutation`'s report, with each block's pairing
+    recomputed by the list walk on the grids cut at t_{j-1}."""
+    spans = s.block_bounds()
+    checks = []
+    for j in range(1, s.stages + 1):
+        pairs = w.pairing.by_block[j - 1]
+        xs = sorted(p.x_process for p in pairs)
+        ys = sorted(p.y_process for p in pairs)
+        bijective = xs == list(range(s.N)) and ys == list(range(s.N))
+        lo, hi = spans[j - 1]
+        rows_match = all(
+            w.y.increments[p.y_process][lo:hi] == w.x.increments[p.x_process][lo:hi]
+            for p in pairs
+        )
+        if j == 1:
+            measurable = all(p.x_process == p.y_process for p in pairs)
+        else:
+            measurable = set(_pairs_from_prefix(w, s, alg, j - 1)) == set(pairs)
+        checks.append(alignment.BlockCheck(block=j, bijective=bijective, rows_match=rows_match,
+                                           history_measurable=measurable))
+    return alignment.PermutationReport(blocks=tuple(checks))
+
 
 def audit_case(x: ss.PathEnsemble, s: ss.Schedule, alg: ss.Strategy,
                checks: tuple[str, ...] = alignment.ALL_CHECKS):
-    """Couple one realization and audit the witness: returns it with
-    whether it fails dominance (recomputed from the witness grids),
-    permutation and inversion (False for a check not selected)."""
-    w = alignment.build_alignment(x, s, alg)
+    """Couple one realization by the list walk and audit the witness:
+    returns it with whether it fails dominance (recomputed from the witness
+    grids), permutation and inversion (False for a check not selected)."""
+    w = reference_alignment(x, s, alg)
     dom_bad = "dominance" in checks and not alignment.check_pairwise_dominance(w, s).ok
-    perm_bad = "permutation" in checks and not alignment.check_block_permutation(w, s, alg).ok
-    inv_bad = "inversion" in checks and alignment.invert_alignment(w.y, s, alg) != x
+    perm_bad = "permutation" in checks and not reference_block_permutation(w, s, alg).ok
+    inv_bad = "inversion" in checks and reference_inversion(w.y, s, alg) != x
     return w, dom_bad, perm_bad, inv_bad
 
 

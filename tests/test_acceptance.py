@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 import staged_select as ss
+from staged_select.alignment import couple_chunk
+from staged_select.core_model import value_grid
 from staged_select.cli import main as cli_main
 
 GREEDY = ss.greedy_strategy()
@@ -122,26 +124,24 @@ def test_criterion_06_inversion_identity():
     gate = Gate(6, 60.0, "inverting the coupling reproduces the original "
                          "ensemble on all enumerated atoms and on 1000 "
                          "float-valued ensembles")
+    # every atom as one exact object chunk, coupled and inverted at once;
+    # a row counts as bad unless the rebuilt grids equal the atom's exactly
     bad = 0
     for name, model, schedule in (INSTANCES[0], INSTANCES[3]):
         atoms = ss.enumerate_paths(model, schedule.N, schedule.T)
+        inc = np.array([x.increments for x, _ in atoms], dtype=object)
+        values = np.array([x.values for x, _ in atoms], dtype=object)
         for strat in CATALOG:
-            for x, _ in atoms:
-                w = ss.build_alignment(x, schedule, strat)
-                if ss.invert_alignment(w.y, schedule, strat) != x:
-                    bad += 1
+            c = couple_chunk(inc, schedule, strat)
+            same = (c.x_back_inc == inc).all(axis=(1, 2)) & (c.x_back_val == values).all(axis=(1, 2))
+            bad += int(np.count_nonzero(~same))
     worst = 0.0
     anti = ss.baseline_strategies()["anti_greedy"]
     count = 0
     for _, inc in ss.sample_replications(ss.gaussian(0, 1), 16, 8, 1000, seed=77):
-        for r in range(inc.shape[0]):
-            x = ss.PathEnsemble.from_increment_rows(inc[r].tolist())
-            w = ss.build_alignment(x, GAUSS_SCHEDULE, anti)
-            back = ss.invert_alignment(w.y, GAUSS_SCHEDULE, anti)
-            worst = max(worst, max(
-                abs(a - b) for ra, rb in zip(back.values, x.values)
-                for a, b in zip(ra, rb)))
-            count += 1
+        c = couple_chunk(inc, GAUSS_SCHEDULE, anti)
+        worst = max(worst, float(np.abs(c.x_back_val - value_grid(inc)).max()))
+        count += inc.shape[0]
     ok = bad == 0 and worst <= 1e-12 and count == 1000
     gate.finish(ok, f"float round-trip worst deviation {worst:.1e}")
 

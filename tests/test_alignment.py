@@ -2,7 +2,7 @@
 measure preservation, and inversion."""
 
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -246,17 +246,56 @@ INSTANCES = [
 ]
 
 
+# --- the one-row calls against the list walk -----------------------------------
+
+def _pin_cases(name):
+    """(schedule, realizations): every atom of A, every 32nd atom of B-F,
+    or 10 sampled rows."""
+    if name in ("gaussian", "uniform"):
+        model, s = (ss.gaussian(0, 1), SCHEDULE_G) if name == "gaussian" else (ss.uniform(-1, 2), SCHEDULE_U)
+        inc = ss.sample_chunk(model, s.N, s.T, seed=53, chunk_index=0)[:10]
+        return s, [ss.PathEnsemble.from_increment_rows(rows) for rows in inc.tolist()]
+    _, model, s = next(i for i in INSTANCES if i[0] == name)
+    return s, [x for x, _ in ss.enumerate_paths(model, s.N, s.T)[::1 if name == "A" else 32]]
+
+
+@pytest.mark.parametrize("name", ["A", "B", "C", "D", "E", "F", "gaussian", "uniform"])
+def test_one_row_calls_equal_the_list_walk(name):
+    s, xs = _pin_cases(name)
+    for strat in [*ss.full_catalog(), KEEP_WORST]:
+        for x in xs:
+            w = ss.build_alignment(x, s, strat)
+            ref = scalar_reference.reference_alignment(x, s, strat)
+            for f in fields(w):   # pairs with keys and order, dominance, survivors, finals, Y
+                assert getattr(w, f.name) == getattr(ref, f.name), (strat.name, f.name)
+            back = ss.invert_alignment(w.y, s, strat)
+            assert back == scalar_reference.reference_inversion(w.y, s, strat) == x
+            report = ss.check_block_permutation(w, s, strat)
+            assert report == scalar_reference.reference_block_permutation(w, s, strat)
+            assert report.ok, strat.name
+
+
+def test_swapped_pair_key_fails_history_measurability():
+    w = ss.build_alignment(TRACE_X, SCHEDULE_A, ANTI)
+    first, second, *rest = w.pairing.by_block[1]
+    swapped = (first._replace(key=second.key), second._replace(key=first.key), *rest)
+    bad = replace(w, pairing=ss.PairingSequence(by_block=(w.pairing.by_block[0], swapped)))
+    for check in (ss.check_block_permutation, scalar_reference.reference_block_permutation):
+        block = check(bad, SCHEDULE_A, ANTI).blocks[1]
+        assert block.bijective and block.rows_match and not block.history_measurable
+
+
 def _as_rows(grid):
     return tuple(tuple(float(v) for v in row) for row in grid)
 
 
 def assert_chunk_matches_scalar(inc, s, strat, invert=True):
-    """Every field of the batched coupling equals the scalar witness (and
-    the scalar inversion) of the same row, bit for bit."""
+    """Every field of the batched coupling equals the list walk's witness
+    (and its inversion) of the same row, bit for bit."""
     c = couple_chunk(inc, s, strat)
     for r in range(inc.shape[0]):
         x = ss.PathEnsemble.from_increment_rows(inc[r].tolist())
-        w = ss.build_alignment(x, s, strat)
+        w = scalar_reference.reference_alignment(x, s, strat)
         assert _as_rows(c.y_inc[r]) == _as_rows(w.y.increments), (strat.name, r)
         assert _as_rows(c.y_val[r]) == _as_rows(w.y.values), (strat.name, r)
         for b in range(1, s.stages + 1):
@@ -265,7 +304,7 @@ def assert_chunk_matches_scalar(inc, s, strat, invert=True):
         assert tuple(tuple(np.flatnonzero(m[r]).tolist()) for m in c.x_kept) == w.x_survivors
         assert tuple(tuple(np.flatnonzero(m[r]).tolist()) for m in c.y_kept) == w.y_survivors
         assert c.alg_final[r] == w.alg_final and c.greedy_final[r] == w.greedy_final
-        back = ss.invert_alignment(w.y, s, strat) if invert else x
+        back = scalar_reference.reference_inversion(w.y, s, strat) if invert else x
         assert _as_rows(c.x_back_inc[r]) == _as_rows(back.increments), (strat.name, r)
         assert _as_rows(c.x_back_val[r]) == _as_rows(back.values), (strat.name, r)
     dom, perm, inv = audit_chunk(c, s, strat)
@@ -319,14 +358,14 @@ def test_batched_verify_mc_equals_scalar_loop():
 def test_audit_case_recomputes_dominance_from_witness_grids(monkeypatch):
     # sink Y's last block after the build: the entries recorded during the
     # build still read ok, so only a recomputation from the grids sees it
-    real = alignment.build_alignment
+    real = scalar_reference.reference_alignment
 
     def sunk(x, s, alg):
         w = real(x, s, alg)
         rows = [row[:-1] + (row[-1] - 10,) for row in w.y.increments]
         return replace(w, y=ss.PathEnsemble.from_increment_rows(rows))
 
-    monkeypatch.setattr(alignment, "build_alignment", sunk)
+    monkeypatch.setattr(scalar_reference, "reference_alignment", sunk)
     w, dom_bad, perm_bad, inv_bad = scalar_reference.audit_case(TRACE_X, SCHEDULE_A, ANTI)
     assert all(e.ok for e in w.dominance)
     assert dom_bad and perm_bad and inv_bad
@@ -425,34 +464,29 @@ def test_audit_runs_only_selected_checks():
 
 # --- exhaustive verification on atom chunks ------------------------------------------
 
-HAND_GREEDY = ss.Strategy(name="greedy", chooser=scalar_reference.top)
-
-
 @lru_cache(maxsize=None)
 def _greedy_sum_over_atoms(model, s):
-    return sum(p * ss.run_selection(x, s, HAND_GREEDY).final_value
+    return sum(p * ss.run_selection(x, s, scalar_reference.HAND_GREEDY).final_value
                for x, p in ss.enumerate_paths(model, s.N, s.T))
 
 
-def _verify_exhaustive_reference(model, s, alg, monkeypatch):
-    """The per-atom scalar audit, with the hand-written choosers for the
-    strategy and for greedy: every enumerated atom through `audit_case`,
-    images looked up among the atoms, both sides of the identity summed
-    atom by atom."""
+def _verify_exhaustive_reference(model, s, alg):
+    """The per-atom list-walk audit, with the hand-written choosers for
+    the strategy and for greedy: every enumerated atom through
+    `audit_case`, images looked up among the atoms, both sides of the
+    identity summed atom by atom."""
     atoms = ss.enumerate_paths(model, s.N, s.T)
     prob_of = {x.values: p for x, p in atoms}
     counts = [0, 0, 0]
     images = set()
     pushforward_ok = True
     sum_image = 0
-    with monkeypatch.context() as m:
-        m.setattr(alignment, "greedy_strategy", lambda: HAND_GREEDY)
-        for x, p in atoms:
-            w, *bad = scalar_reference.audit_case(x, s, alg)
-            counts = [n + b for n, b in zip(counts, bad)]
-            images.add(w.y.values)
-            pushforward_ok &= prob_of.get(w.y.values) == p
-            sum_image += p * w.greedy_final
+    for x, p in atoms:
+        w, *bad = scalar_reference.audit_case(x, s, alg)
+        counts = [n + b for n, b in zip(counts, bad)]
+        images.add(w.y.values)
+        pushforward_ok &= prob_of.get(w.y.values) == p
+        sum_image += p * w.greedy_final
     return ss.VerifyResult(
         mode="exhaustive", strategy=alg.describe(), cases=len(atoms),
         dominance_violations=counts[0], permutation_violations=counts[1],
@@ -488,7 +522,7 @@ def test_exhaustive_chunk_audit_equals_per_atom_reference(name, model, s, monkey
     calls = _count_chunk_couplings(monkeypatch)
     for strat, hand_written in zip(ss.full_catalog(), scalar_reference.reference_catalog()):
         res = ss.verify_exhaustive(model, s, strat)
-        assert res == _verify_exhaustive_reference(model, s, hand_written, monkeypatch), name
+        assert res == _verify_exhaustive_reference(model, s, hand_written), name
         assert res.ok
     # every catalog strategy took the scaled float64 grid, in chunks of at
     # most 4096 atoms
@@ -512,7 +546,7 @@ def test_exhaustive_fallback_equals_per_atom_reference(name, model, s, strat, mo
     calls = _count_chunk_couplings(monkeypatch)
     res = ss.verify_exhaustive(model, s, strat)
     assert calls and {dtype for _, dtype in calls} == {np.dtype(object)}
-    assert res == _verify_exhaustive_reference(model, s, strat, monkeypatch) and res.ok
+    assert res == _verify_exhaustive_reference(model, s, strat) and res.ok
 
 
 def _plant(monkeypatch, edit):

@@ -535,6 +535,13 @@ RADEMACHER_DRIFT = {"kind": "drift", "base": {"kind": "rademacher", "scale": 1},
     ("drift", {"model": RADEMACHER_DRIFT, "schedule": HUGE_SCHEDULE, "reps": 2, "seed": 1}),
 ], ids=["compare", "verify-mc", "drift"])
 def test_oversized_sampled_chunk_exits_3_before_allocating(tmp_path, capsys, command, doc):
+    # the smallest draw, a drift's (4096, 100) array, would be 3.2 MiB
+    _assert_exits_3_before_allocating(tmp_path, capsys, command, doc, 16777216)
+
+
+def _assert_exits_3_before_allocating(tmp_path, capsys, command, doc, cap):
+    """Exit 3 with one error line naming the cap, no stdout, and a traced
+    Python/numpy peak under 1 MiB."""
     doc = {k: v for k, v in doc.items() if v is not None}
     cfg = write_config(tmp_path, doc)
     tracemalloc.start()
@@ -545,6 +552,27 @@ def test_oversized_sampled_chunk_exits_3_before_allocating(tmp_path, capsys, com
         tracemalloc.stop()
     assert code == 3
     captured = capsys.readouterr()
-    assert captured.out == "" and "exceeding the cap of 16777216" in captured.err
-    # the smallest draw, a drift's (4096, 100) array, would be 3.2 MiB
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert f"exceeding the cap of {cap}" in captured.err
     assert peak < 2 ** 20, peak
+
+
+# 10**12 replications: a 244M-entry plan, then days of sampling
+@pytest.mark.parametrize("command,doc", [
+    ("compare", dict(MC_DOC, mode=None, strategy=None, strategies=["greedy", "anti_greedy"],
+                     reps=10 ** 12)),
+    ("verify", dict(MC_DOC, reps=10 ** 12)),
+    ("drift", {"model": RADEMACHER_DRIFT, "schedule": INSTANCE_A["schedule"],
+               "reps": 10 ** 12, "seed": 1}),
+], ids=["compare", "verify-mc", "drift"])
+def test_replications_past_the_cap_exit_3_before_planning(tmp_path, capsys, command, doc):
+    _assert_exits_3_before_allocating(tmp_path, capsys, command, doc, 10 ** 8)
+
+
+@pytest.mark.parametrize("reps,schedule", [
+    (None, {"times": [10 ** 9], "sizes": [1], "N": 2, "T": 10 ** 9}),  # 7.45 GiB of steps
+    (2 ** 20, INSTANCE_A["schedule"]),   # 2**20 realizations of 9 values
+], ids=["long", "many"])
+def test_simulate_past_the_trace_cap_exits_3_before_drawing(tmp_path, capsys, reps, schedule):
+    doc = dict(MC_DOC, mode=None, reps=reps, strategy={"name": "greedy"}, schedule=schedule)
+    _assert_exits_3_before_allocating(tmp_path, capsys, "simulate", doc, 2 ** 20)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import scalar_reference
 import staged_select as ss
 from staged_select import experiments
 from staged_select.errors import ConfigInvalid, InvalidReps
@@ -52,8 +53,9 @@ def _stage_loop_by_run_selection(values, inc, s, alg):
     return np.array([tr.final_value for tr in traces], dtype=np.float64), means
 
 
-def _headline_violations_by_build_alignment(inc, s, alg):
-    return sum(not ss.build_alignment(ss.PathEnsemble.from_increment_rows(rows), s, alg).headline_ok
+def _headline_violations_by_list_walk(inc, s, alg):
+    return sum(not scalar_reference.reference_alignment(
+                   ss.PathEnsemble.from_increment_rows(rows), s, alg).headline_ok
                for rows in inc.tolist())
 
 
@@ -140,7 +142,7 @@ def test_unlisted_strategy_falls_back_to_reference_engine(monkeypatch):
     assert all(np.isfinite(v) for _, _, _, v in fast[1].stage_rows)
     monkeypatch.setattr(experiments, "final_values_for_chunk", _final_values_by_run_selection)
     monkeypatch.setattr(experiments, "_stage_loop", _stage_loop_by_run_selection)
-    monkeypatch.setattr(experiments, "headline_violations", _headline_violations_by_build_alignment)
+    monkeypatch.setattr(experiments, "headline_violations", _headline_violations_by_list_walk)
     assert fast == [ss.mc_estimate(GAUSS, s, KEEP_WORST, reps=5000, seed=2),
                     ss.compare_strategies(GAUSS, s, catalog, reps=5000, seed=2),
                     ss.compare_strategies(GAUSS, s, catalog, reps=300, seed=2, coupled=True)]
@@ -254,11 +256,7 @@ def test_compare_coupled_counts_match_scalar_witnesses():
     plain = ss.compare_strategies(GAUSS, s, catalog, reps=150, seed=12)
     inc = ss.sample_chunk(GAUSS, s.N, s.T, seed=12, chunk_index=0)[:150]
     for row, plain_row, strat in zip(t.rows, plain.rows, catalog):
-        bad = sum(
-            not ss.build_alignment(ss.PathEnsemble.from_increment_rows(inc[r].tolist()),
-                                   s, strat).headline_ok
-            for r in range(inc.shape[0])
-        )
+        bad = _headline_violations_by_list_walk(inc, s, strat)
         assert row.coupled_violations == bad == 0, strat.name
         assert plain_row.coupled_violations is None
         assert row.mean == plain_row.mean
@@ -302,3 +300,38 @@ def test_overflowing_statistics_are_an_input_error():
         ss.compare_strategies(wide, SCHEDULE_A, ss.full_catalog(), reps=50, seed=1)
     fine = ss.mc_estimate(ss.gaussian(0, 1e100), SCHEDULE_A, ss.greedy_strategy(), reps=50, seed=1)
     assert np.isfinite(fine.stderr) and fine.stderr > 0
+
+
+# --- worker threads ------------------------------------------------------------------
+
+def test_pool_never_outnumbers_cores_or_chunks(monkeypatch):
+    # `Executor.map` submits every chunk at once and the pool starts one
+    # thread per submit up to `max_workers`: record that, start no thread
+    started = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+    catalog = ss.full_catalog()
+    serial = ss.compare_strategies(GAUSS, SCHEDULE_A, catalog, reps=3 * 4096, seed=5)
+    assert started == []
+    assert ss.compare_strategies(GAUSS, SCHEDULE_A, catalog, reps=3 * 4096, seed=5,
+                                 threads=100_000) == serial
+    ss.mc_estimate(GAUSS, SCHEDULE_A, catalog[0], reps=10 * 4096, seed=5, threads=100_000)
+    ss.mc_estimate(GAUSS, SCHEDULE_A, catalog[0], reps=10 * 4096, seed=5, threads=3)
+    assert started == [3, 4, 3]   # chunks, cores, threads
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+    ss.mc_estimate(GAUSS, SCHEDULE_A, catalog[0], reps=10 * 4096, seed=5, threads=100_000)
+    assert started == [3, 4, 3]   # an unknown core count runs serially

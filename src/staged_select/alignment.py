@@ -53,7 +53,7 @@ from .core_model import (
     value_grid,
 )
 from .errors import DimensionMismatch, NonDeterministicStrategy
-from .oracle import exact_expected_value
+from .oracle import exact_expected_value, exact_grid
 from .selection_engine import (
     RankRule,
     Strategy,
@@ -563,30 +563,23 @@ def verify_exhaustive(model, s: Schedule, alg: Strategy,
     identity sum P * greedy(image) = sum P * greedy(atom).
 
     Atoms are streamed in enumeration order as chunks of symbol indices (a
-    mixed-radix count), never listed, and audited a chunk at a time.  For a
-    `RankRule` the grid is the support scaled by the lcm of its
-    denominators, in float64: values and rule scores are then integers or
-    half-integers, exact under the guard 2 * T * max|scaled step| < 2**52,
-    so rankings and ties equal the rational run's.  Past the guard, and for
-    any other chooser (which may rank scaled paths differently), the grid
-    is the unscaled support as Fraction objects.  Images are read back as
-    symbols: injectivity is a bitmap over atom indices, equal symbol counts
+    mixed-radix count), never listed, and audited a chunk at a time on the
+    grid of `exact_grid`: for a `RankRule` under its guard the support
+    scaled by the lcm of its denominators, in float64, so rankings and ties
+    equal the rational run's; past the guard, and for any other chooser,
+    the unscaled support as Fraction objects.  Images are read back as
+    symbols (a sorted search on the float grid, a lookup on the object
+    grid): injectivity is a bitmap over atom indices, equal symbol counts
     mean equal probabilities, and the image side of the identity is summed
     exactly per count class.  The direct side is greedy's exact value on
-    the tree of reachable histories (`exact_expected_value`, which also
-    refuses models without discrete, independent steps).
+    the frontier walk (`exact_expected_value`, which also refuses models
+    without discrete, independent steps).
     """
     sum_direct = exact_expected_value(model, s, greedy_strategy(), cap=cap).value
     disc = model.as_discrete() if isinstance(model, Rademacher) else model
     size, length = len(disc.support), s.N * s.T
-    scale = math.lcm(*(v.denominator for v in disc.support))
-    steps = [int(v * scale) for v in disc.support]
-    if isinstance(alg.chooser, RankRule) and 2 * s.T * max(map(abs, steps)) < 2 ** 52:
-        grid = np.array(steps, dtype=float)
-    else:
-        scale, grid = 1, np.array(disc.support, dtype=object)
-    index = {v: sym for sym, v in enumerate(grid.tolist())}
-    symbols = np.vectorize(lambda v: index.get(v, -1), otypes=[np.int64])  # -1: off the support
+    scale, grid = exact_grid(disc, s.T, isinstance(alg.chooser, RankRule))
+    symbols = _symbol_reader(grid)
     class_prob = lru_cache(maxsize=None)(lambda key: math.prod(disc.probs[k] for k in key))
     count = size ** length
     radix = size ** np.arange(length - 1, -1, -1)
@@ -625,6 +618,22 @@ def verify_exhaustive(model, s: Schedule, alg: Strategy,
         pushforward_ok=pushforward_ok,
         coupling_expectation_equal=sum_image == sum_direct,
     )
+
+
+def _symbol_reader(grid: np.ndarray):
+    """A map from an array of grid values to their symbols (indices into
+    `grid`), with -1 for a value off the support."""
+    if grid.dtype == object:
+        index = {v: sym for sym, v in enumerate(grid.tolist())}
+        return np.vectorize(lambda v: index.get(v, -1), otypes=[np.int64])
+    order = np.argsort(grid)
+    ordered = grid[order]
+
+    def symbols(values: np.ndarray) -> np.ndarray:
+        at = np.minimum(np.searchsorted(ordered, values), len(grid) - 1)
+        return np.where(ordered[at] == values, order[at], -1)
+
+    return symbols
 
 
 def verify_mc(model: Model, s: Schedule, alg: Strategy, reps: int,

@@ -1,23 +1,31 @@
 """Exact certification oracles for small discrete instances.
 
-Everything in this module computes with `fractions.Fraction`: expectations,
-probabilities, and path values.  Optimality claims are equalities of exact
-rationals, never float comparisons.
+Every result is one exact `fractions.Fraction`, and optimality claims are
+equalities of exact rationals, never float comparisons.
 
 Three independent routes to the optimal expected final value exist:
 
-* `exact_expected_value` evaluates one concrete strategy on the tree of
-  reachable histories: one strategy decision per reachable stage history,
-  with only the kept processes' rows extended block by block, weighted by
-  products of step probabilities;
+* `exact_expected_value` evaluates one concrete strategy on every
+  reachable history: one strategy decision per reachable stage history,
+  taken for a whole frontier of histories at once, with only the kept
+  processes' rows extended block by block;
 * `dp_optimal_value` maximizes over all history-measurable strategies by
-  backward induction, memoized on a rank-canonicalized history encoding
-  (symmetric states merge; sound because processes are exchangeable and
-  increments are independent, which the oracle enforces);
-* `exhaustive_strategy_search` walks the raw decision tree with no state
-  merging at all — full per-process paths, interior steps included — and
-  optimizes every reachable decision history pointwise.  It also reports
-  the cardinality of the deterministic strategy space it maximized over.
+  backward induction in `Fraction` arithmetic, memoized on a
+  rank-canonicalized history encoding (symmetric states merge; sound
+  because processes are exchangeable and increments are independent,
+  which the oracle enforces);
+* `exhaustive_strategy_search` walks the raw decision histories with no
+  state merging at all — full per-process paths, interior steps included —
+  and optimizes every reachable decision history pointwise.  It also
+  reports the cardinality of the deterministic strategy space it maximized
+  over.
+
+The first and the last share one frontier walk (`_frontier_walk`).  It
+decides on the grid of `exact_grid`, the support scaled to integers in
+float64 where that is exact for the decision and Fraction objects
+otherwise, and weights each block outcome by an integer, the product of
+its probability numerators over a common denominator: the sums are exact
+integers, divided once at the end.
 
 Agreement of all three on an instance certifies the backward-induction
 shortcuts empirically rather than by appeal to theory.
@@ -29,12 +37,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .core_model import (
     Discrete,
     DriftModel,
     ENUMERATION_CAP,
+    REPLICATION_CHUNK,
     Model,
     Number,
     Rademacher,
@@ -47,7 +58,7 @@ from .errors import (
     PreconditionViolated,
     SearchTooLarge,
 )
-from .selection_engine import Strategy, stage_decision
+from .selection_engine import RankRule, Strategy, batched_stage, ranked_columns
 
 #: default cap on decision-tree nodes for the uncompressed search
 SEARCH_CAP = 5_000_000
@@ -84,61 +95,128 @@ def _require_discrete_independent(model: Model) -> Discrete:
 
 
 # ---------------------------------------------------------------------------
-# the tree of reachable histories
+# the frontier walk over reachable histories
 # ---------------------------------------------------------------------------
 
-Rows = tuple[tuple[Number, ...], ...]
+def exact_grid(disc: Discrete, T: int, scale_invariant: bool) -> tuple[int, np.ndarray]:
+    """The support an exact walk runs on, as (scale, grid).
 
-
-class _HistoryTree:
-    """Block-by-block expansion of a discrete-step ensemble's histories.
-
-    A node holds every process's visible value and step rows; a row's
-    length is its horizon, so eliminated rows stay frozen at their
-    elimination time and nothing past the current observation time exists.
-    Expanding a node extends only the given processes' rows by one block.
+    A decision that orders support-scaled paths as it orders the originals
+    (a `RankRule`, or the search's best current value) runs on the support
+    times the lcm of its denominators, in float64: values and rule scores
+    are then integers or half-integers, exact under the guard
+    2 * T * max|scaled step| < 2**52, so rankings and ties equal the
+    rational run's.  Past the guard, and for any other chooser (which may
+    rank scaled paths differently), the grid is the unscaled support as
+    Fraction objects at scale 1.
     """
+    scale = math.lcm(*(v.denominator for v in disc.support))
+    steps = [int(v * scale) for v in disc.support]
+    if scale_invariant and 2 * T * max(map(abs, steps)) < 2 ** 52:
+        return scale, np.array(steps, dtype=float)
+    return 1, np.array(disc.support, dtype=object)
 
-    def __init__(self, disc: Discrete, s: Schedule):
-        self.steps = list(zip(disc.support, disc.probs))
-        self.spans = s.block_bounds()
-        self.N = s.N
 
-    def expectation(self, j: int, values: Rows, increments: Rows,
-                    kept: tuple[int, ...], then) -> Fraction:
-        """E[then(j + 1, values', increments', kept)] over every outcome of
-        block j + 1 for the kept rows (j = 0 expands the empty history)."""
-        lo, hi = self.spans[j]
-        length = hi - lo
-        total = Fraction(0)
-        for combo in itertools.product(self.steps, repeat=len(kept) * length):
-            prob = Fraction(1)
-            new_values = list(values)
-            new_increments = list(increments)
-            for idx, i in enumerate(kept):
-                segment = combo[idx * length:(idx + 1) * length]
-                row = list(values[i])
-                # sequential accumulation, as in the PathEnsemble constructor
-                acc = row[-1]
-                for step, q in segment:
-                    prob *= q
-                    acc = acc + step
-                    row.append(acc)
-                new_values[i] = tuple(row)
-                new_increments[i] = increments[i] + tuple(step for step, _ in segment)
-            total += prob * then(j + 1, tuple(new_values), tuple(new_increments), kept)
-        return total
+class _Frontier(NamedTuple):
+    """Reachable stage histories, one per row: `values` (n, t + 1, N), the
+    value paths cut at the frontier's time t and stored time-major, so that
+    a block appends contiguously, and `survived` (n, N), the number of
+    decided stages each process survived.  A process eliminated at stage m
+    is frozen at t_m: its later values repeat and no decision reads them."""
 
-    def root_expectation(self, then) -> Fraction:
-        """Expectation from time 0, where every process is a candidate."""
-        start_values = tuple((0,) for _ in range(self.N))
-        start_increments = tuple(() for _ in range(self.N))
-        return self.expectation(0, start_values, start_increments,
-                                tuple(range(self.N)), then)
+    values: np.ndarray
+    survived: np.ndarray
+
+    def grids(self, j: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+        """Values (n, N, t + 1), increments (n, N, t) and the survivor
+        masks (n, N) of stages 1..j-1, as `batched_stage` takes them."""
+        values = self.values.transpose(0, 2, 1)
+        return (values, np.diff(values, axis=2),
+                tuple(self.survived >= m for m in range(1, j)))
+
+
+def _frontier_walk(disc: Discrete, s: Schedule, scale: int, grid: np.ndarray,
+                   decide) -> tuple[Fraction, int]:
+    """Expected final value of a stage rule over every reachable history,
+    and the number of stage histories it decided at.
+
+    `decide(j, frontier)` returns, for each history of a stage-j frontier,
+    its candidate survivor sets as masks (n, c, N); at the last stage, each
+    history's final value (n,).  A set's value sums its next block's
+    outcomes for the kept rows only, each weighted by the product of its
+    probability numerators over D, the lcm of the probability
+    denominators; a history takes its best set.  Every path takes the same
+    number of steps, so the values of one level share the denominator
+    D^(steps below): the sums are int64 while T * max|step| * D^steps <
+    2**63, Python ints past it, and Fractions on an object grid.  The
+    result is the root's sum over D^steps * scale.
+
+    A level's (history, set, outcome) triples are expanded
+    `REPLICATION_CHUNK` at a time, each slice walked to the last stage
+    before the next, so no frontier holds more rows than that.
+    """
+    m, spans = len(disc.support), s.block_bounds()
+    denom = math.lcm(*(p.denominator for p in disc.probs))
+    widths = (s.N, *s.sizes[:-1])   # rows that step in block j + 1
+    steps = sum(w * (hi - lo) for w, (lo, hi) in zip(widths, spans))
+    fits = grid.dtype != object and s.T * int(np.abs(grid).max()) * denom ** steps < 2 ** 63
+    acc = np.int64 if fits else object
+    numerators = np.array([int(p * denom) for p in disc.probs], dtype=acc)
+    visited = 0
+
+    def level(j: int, f: _Frontier) -> np.ndarray:
+        nonlocal visited
+        n = f.values.shape[0]
+        if j == s.stages:
+            visited += n
+            final = decide(j, f)
+            return final if grid.dtype == object else final.astype(np.int64).astype(acc)
+        if j:
+            visited += n
+            sets = decide(j, f)
+        else:
+            sets = np.ones((1, 1, s.N), dtype=bool)
+        c = sets.shape[1]
+        sets = sets.reshape(n * c, s.N)
+        (lo, hi), width = spans[j], widths[j]
+        outcomes = m ** (width * (hi - lo))
+        radix = m ** np.arange(width * (hi - lo) - 1, -1, -1)
+        value = np.zeros(n * c, dtype=acc)
+        total = n * c * outcomes
+        for start in range(0, total, REPLICATION_CHUNK):
+            flat = np.arange(start, min(start + REPLICATION_CHUNK, total))
+            pair, code = flat // outcomes, flat % outcomes
+            symbols = (code[:, None] // radix % m).reshape(-1, width, hi - lo)
+            child = _extend(f, pair // c, sets[pair], grid[symbols], lo, hi, j > 0)
+            weighted = level(j + 1, child) * numerators[symbols].prod(axis=(1, 2))
+            first = np.flatnonzero(np.diff(pair, prepend=-1))
+            value[pair[first]] += np.add.reduceat(weighted, first)
+        return value.reshape(n, c).max(axis=1)
+
+    root = _Frontier(np.zeros((1, 1, s.N), dtype=grid.dtype), np.zeros((1, s.N), dtype=np.intp))
+    total = level(0, root).tolist()[0]
+    return Fraction(total) / (denom ** steps * scale), visited
+
+
+def _extend(f: _Frontier, node: np.ndarray, mask: np.ndarray, steps: np.ndarray,
+            lo: int, hi: int, decided: bool) -> _Frontier:
+    """Frontier rows `node` of f, each extended by one block outcome over
+    [lo, hi): the processes of `mask` (rows, N) take `steps`
+    (rows, width, hi - lo) in id order, the others stay frozen.  With
+    `decided`, `mask` is the new stage's survivor mask."""
+    rows, n = mask.shape
+    values = np.empty((rows, hi + 1, n), dtype=steps.dtype)
+    values[:, :lo + 1] = f.values[node]
+    block = np.zeros((rows, hi - lo, n), dtype=steps.dtype)
+    block.transpose(0, 2, 1)[mask] = steps.reshape(-1, hi - lo)
+    for t in range(lo, hi):   # sequential accumulation, as in `PathEnsemble`
+        values[:, t + 1] = values[:, t] + block[:, t - lo]
+    survived = f.survived[node]
+    return _Frontier(values, survived + mask if decided else survived)
 
 
 # ---------------------------------------------------------------------------
-# strategy evaluation on the history tree
+# strategy evaluation on the frontier walk
 # ---------------------------------------------------------------------------
 
 def exact_expected_value(
@@ -151,10 +229,11 @@ def exact_expected_value(
 def exact_expected_values(
     model: Model, s: Schedule, algs: Sequence[Strategy], cap: int = ENUMERATION_CAP
 ) -> list[ExactValue]:
-    """Evaluate strategies exactly on the tree of reachable histories.
+    """Evaluate strategies exactly on every reachable history.
 
-    At each reachable stage-j history the strategy decides once, through
-    the same view and legality checks as a `StagewiseRun`; the walk then
+    The frontier of stage-j histories is decided at once by
+    `batched_stage`, through the same view and legality checks as a
+    `StagewiseRun` for a chooser that is not a `RankRule`; the walk then
     branches on block j+1's outcomes for the kept processes only.  An
     eliminated process's later steps reach neither a decision nor the final
     value, so they are summed out rather than enumerated.  The result equals
@@ -165,25 +244,20 @@ def exact_expected_values(
     count = len(disc.support) ** (s.N * s.T)
     if count > cap:
         raise EnumerationTooLarge(count, cap)
-    tree = _HistoryTree(disc, s)
     label = instance_label(model, s)
-    return [
-        ExactValue(value=_strategy_value(tree, s, alg), instance=label,
-                   strategy=alg.describe())
-        for alg in algs
-    ]
+    out = []
+    for alg in algs:
+        scale, grid = exact_grid(disc, s.T, isinstance(alg.chooser, RankRule))
 
+        def decide(j: int, f: _Frontier, alg=alg) -> np.ndarray:
+            mask = batched_stage(alg, s, j, *f.grids(j))
+            if j == s.stages:
+                return f.values[np.arange(len(mask)), s.T, np.argmax(mask, axis=1)]
+            return mask[:, None, :]
 
-def _strategy_value(tree: _HistoryTree, s: Schedule, alg: Strategy) -> Fraction:
-    def decide(j: int, values: Rows, increments: Rows,
-               candidates: tuple[int, ...]) -> Fraction:
-        horizons = tuple(len(row) - 1 for row in values)
-        chosen = stage_decision(s, alg, j, candidates, values, increments, horizons)
-        if j == s.stages:
-            return values[chosen[0]][s.T]
-        return tree.expectation(j, values, increments, chosen, decide)
-
-    return tree.root_expectation(decide)
+        value, _ = _frontier_walk(disc, s, scale, grid, decide)
+        out.append(ExactValue(value=value, instance=label, strategy=alg.describe()))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +398,9 @@ class SearchResult:
 def exhaustive_strategy_search(
     model: Model, s: Schedule, cap: int = SEARCH_CAP
 ) -> SearchResult:
-    """Maximize over every deterministic strategy by walking the full
-    decision tree without any state merging.
+    """Maximize over every deterministic strategy by walking every
+    reachable decision history, with every legal survivor set at each,
+    without any state merging.
 
     Histories are raw: every process's full visible path, interior steps
     included, with no canonicalization.  Each reachable decision history is
@@ -334,15 +409,17 @@ def exhaustive_strategy_search(
     affect disjoint branches); that space's exact cardinality is returned.
     Enumerating strategy profiles one by one would visit
     prod-over-histories(choice counts) profiles, which is astronomically
-    redundant — the tree walk computes the same maximum in
-    `decision_histories` node visits.
+    redundant — the frontier walk computes the same maximum in
+    `decision_histories` node visits, reducing backward: the last stage
+    takes the best current value, each earlier one the best set's weighted
+    sum over its next block.
     """
     disc = _require_discrete_independent(model)
     spans = s.block_bounds()
     sizes = s.sizes
     k = s.stages
 
-    # work / cardinality accounting before touching the tree
+    # work / cardinality accounting before the walk
     histories_at_stage = []
     nodes = 1
     for j in range(1, k + 1):
@@ -359,25 +436,21 @@ def exhaustive_strategy_search(
         alive = s.N if j == 1 else sizes[j - 2]
         strategy_space *= math.comb(alive, sizes[j - 1]) ** histories_at_stage[j - 1]
 
-    tree = _HistoryTree(disc, s)
-    visited = 0
+    choices = [np.array(list(itertools.combinations(range(alive), n_j)))
+               for alive, n_j in zip((s.N, *sizes), sizes[:-1])]
 
-    def best_at_decision(j: int, values: Rows, increments: Rows,
-                         survivors: tuple[int, ...]) -> Fraction:
-        nonlocal visited
-        visited += 1
-        best: Fraction | None = None
-        for chosen in itertools.combinations(survivors, sizes[j - 1]):
-            if j == k:
-                value = values[chosen[0]][-1]
-            else:
-                value = tree.expectation(j, values, increments, chosen, best_at_decision)
-            if best is None or value > best:
-                best = value
-        assert best is not None
-        return best
+    def decide(j: int, f: _Frontier) -> np.ndarray:
+        alive = f.survived == j - 1
+        if j == k:
+            current = f.values[:, s.T]
+            best = ranked_columns(current, alive)[:, :1]
+            return np.take_along_axis(current, best, axis=1)[:, 0]
+        ids = np.flatnonzero(alive).reshape(len(alive), -1) % s.N
+        sets = np.zeros((len(alive), len(choices[j - 1]), s.N), dtype=bool)
+        np.put_along_axis(sets, ids[:, choices[j - 1]], True, axis=2)
+        return sets
 
-    value = tree.root_expectation(best_at_decision)
+    value, visited = _frontier_walk(disc, s, *exact_grid(disc, s.T, True), decide)
     return SearchResult(
         best=ExactValue(value=value, instance=instance_label(model, s),
                         strategy="exhaustive_search"),

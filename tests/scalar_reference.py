@@ -248,6 +248,51 @@ def audit_case(x: ss.PathEnsemble, s: ss.Schedule, alg: ss.Strategy,
     return w, dom_bad, perm_bad, inv_bad
 
 
+# --- the uncompressed search, as the recursive tree walk ---------------------------
+#
+# The package walks every reachable decision history level by level over
+# arrays (`oracle._frontier_walk`) in integer weights.  This is the search
+# written a second time: a recursion over raw histories in `Fraction`
+# arithmetic, one node and one pointwise maximum at a time.
+
+def reference_search(model, s: ss.Schedule) -> tuple[Fraction, int]:
+    """(optimal expected final value, decision histories visited): every
+    legal survivor set at every reachable stage history, expanding only
+    the kept processes' rows by the next block's outcomes."""
+    disc = model.as_discrete() if isinstance(model, ss.Rademacher) else model
+    steps = list(zip(disc.support, disc.probs))
+    spans = s.block_bounds()
+    visited = 0
+
+    def expectation(j, values, kept):
+        # E[best(j + 1, values')] over block j + 1's outcomes for the kept rows
+        lo, hi = spans[j]
+        length = hi - lo
+        total = Fraction(0)
+        for combo in itertools.product(steps, repeat=len(kept) * length):
+            prob = Fraction(1)
+            new_values = list(values)
+            for idx, i in enumerate(kept):
+                row = list(values[i])
+                for step, q in combo[idx * length:(idx + 1) * length]:
+                    prob *= q
+                    row.append(row[-1] + step)
+                new_values[i] = tuple(row)
+            total += prob * best(j + 1, tuple(new_values), kept)
+        return total
+
+    def best(j, values, survivors):
+        nonlocal visited
+        visited += 1
+        if j == s.stages:
+            return max(values[i][-1] for i in survivors)
+        return max(expectation(j, values, chosen)
+                   for chosen in itertools.combinations(survivors, s.sizes[j - 1]))
+
+    value = expectation(0, tuple((0,) for _ in range(s.N)), tuple(range(s.N)))
+    return value, visited
+
+
 # --- small helpers --------------------------------------------------------------
 
 def rank_desc(values) -> list[int]:

@@ -5,6 +5,7 @@ from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import scalar_reference
 import staged_select as ss
-from staged_select import alignment
+from staged_select import alignment, oracle
 from staged_select.alignment import ALL_CHECKS, audit_chunk, couple_chunk
 from staged_select.errors import DimensionMismatch, NonDeterministicStrategy
 
@@ -324,12 +325,21 @@ def test_batched_coupling_matches_scalar_on_sampled_chunks(model, s):
 @pytest.mark.parametrize("name,model,s", INSTANCES, ids=[i[0] for i in INSTANCES])
 def test_batched_coupling_matches_scalar_on_every_atom(name, model, s):
     # float casts of every atom: integer-valued paths, ties everywhere.
-    # The scalar inversion of an atom is the atom itself (criterion 5 checks
-    # it exhaustively), so the rebuilt X is compared with the atom directly.
+    # Every field equals the list walk's witness of the exact atom under the
+    # hand-written strategy (the casts are integers, so equality is exact),
+    # and the inversion rebuilds the atom itself.
     atoms = ss.enumerate_paths(model, s.N, s.T)
     inc = np.array([[[float(v) for v in row] for row in x.increments] for x, _ in atoms])
-    for strat in ss.full_catalog():
-        assert_chunk_matches_scalar(inc, s, strat, invert=False)
+    for index, strat in enumerate(ss.full_catalog()):
+        ref = _catalog_reference(name, index)
+        c = couple_chunk(inc, s, strat)
+        assert (c.y_inc == ref.y_inc).all() and (c.y_val == ref.y_val).all(), strat.name
+        assert all((got == want).all() for got, want in zip(c.pairing, ref.pairing)), strat.name
+        assert (np.array(c.x_kept) == ref.x_kept).all() and (np.array(c.y_kept) == ref.y_kept).all()
+        assert (c.alg_final == ref.alg_final).all() and (c.greedy_final == ref.greedy_final).all()
+        assert (c.x_back_inc == inc).all() and (c.x_back_val == c.x_val).all()
+        dom, perm, inv = audit_chunk(c, s, strat)
+        assert not dom.any() and not perm.any() and not inv.any(), strat.name
 
 
 def _audit_rows(inc, s, alg, checks):
@@ -470,7 +480,25 @@ def _greedy_sum_over_atoms(model, s):
                for x, p in ss.enumerate_paths(model, s.N, s.T))
 
 
-def _verify_exhaustive_reference(model, s, alg):
+class _AtomReference(NamedTuple):
+    """The per-atom list-walk audit of one strategy over every atom, in
+    enumeration order.  Grids hold the exact values (integral ones as
+    ints), so a float-cast chunk compares with them exactly."""
+
+    result: ss.VerifyResult    # what `verify_exhaustive` must return
+    y_inc: np.ndarray          # (atoms, N, T) the image's increments
+    y_val: np.ndarray          # (atoms, N, T + 1) the image's values
+    pairing: np.ndarray        # (stages, atoms, N) X process feeding Y's process per block
+    x_kept: np.ndarray         # (stages, atoms, N) the strategy's survivor masks on X
+    y_kept: np.ndarray         # (stages, atoms, N) greedy's survivor masks on Y
+    alg_final: np.ndarray      # (atoms,)
+    greedy_final: np.ndarray   # (atoms,)
+
+
+_compact = np.frompyfunc(lambda v: v.numerator if v.denominator == 1 else v, 1, 1)
+
+
+def _verify_exhaustive_reference(model, s, alg) -> _AtomReference:
     """The per-atom list-walk audit, with the hand-written choosers for
     the strategy and for greedy: every enumerated atom through
     `audit_case`, images looked up among the atoms, both sides of the
@@ -481,19 +509,49 @@ def _verify_exhaustive_reference(model, s, alg):
     images = set()
     pushforward_ok = True
     sum_image = 0
+    witnesses = []
     for x, p in atoms:
         w, *bad = scalar_reference.audit_case(x, s, alg)
         counts = [n + b for n, b in zip(counts, bad)]
         images.add(w.y.values)
         pushforward_ok &= prob_of.get(w.y.values) == p
         sum_image += p * w.greedy_final
-    return ss.VerifyResult(
+        witnesses.append(w)
+
+    def masks(survivors):
+        out = np.zeros((s.stages, len(witnesses), s.N), dtype=bool)
+        for r, w in enumerate(witnesses):
+            for j, kept in enumerate(survivors(w)):
+                out[j, r, list(kept)] = True
+        return out
+
+    result = ss.VerifyResult(
         mode="exhaustive", strategy=alg.describe(), cases=len(atoms),
         dominance_violations=counts[0], permutation_violations=counts[1],
         inversion_failures=counts[2], bijective=len(images) == len(atoms),
         pushforward_ok=pushforward_ok,
         coupling_expectation_equal=sum_image == _greedy_sum_over_atoms(model, s),
     )
+    return _AtomReference(
+        result=result,
+        y_inc=_compact(np.array([w.y.increments for w in witnesses], dtype=object)),
+        y_val=_compact(np.array([w.y.values for w in witnesses], dtype=object)),
+        pairing=np.array([[[w.pairing.permutation(b)[y] for y in range(s.N)] for w in witnesses]
+                          for b in range(1, s.stages + 1)]),
+        x_kept=masks(lambda w: w.x_survivors),
+        y_kept=masks(lambda w: w.y_survivors),
+        alg_final=_compact(np.array([w.alg_final for w in witnesses], dtype=object)),
+        greedy_final=_compact(np.array([w.greedy_final for w in witnesses], dtype=object)),
+    )
+
+
+@lru_cache(maxsize=None)
+def _catalog_reference(name: str, index: int) -> _AtomReference:
+    """`_verify_exhaustive_reference` of the hand-written catalog strategy
+    `index` on instance `name`, computed once per session: the exhaustive
+    sweep and the float-cast coupling of every atom are both pinned to it."""
+    _, model, s = next(i for i in [*INSTANCES, SCALED] if i[0] == name)
+    return _verify_exhaustive_reference(model, s, scalar_reference.reference_catalog()[index])
 
 
 # support with denominators: the chunk audit runs on the support times 6
@@ -520,9 +578,9 @@ def _count_chunk_couplings(monkeypatch):
                          ids=[i[0] for i in INSTANCES] + ["H"])
 def test_exhaustive_chunk_audit_equals_per_atom_reference(name, model, s, monkeypatch):
     calls = _count_chunk_couplings(monkeypatch)
-    for strat, hand_written in zip(ss.full_catalog(), scalar_reference.reference_catalog()):
+    for index, strat in enumerate(ss.full_catalog()):
         res = ss.verify_exhaustive(model, s, strat)
-        assert res == _verify_exhaustive_reference(model, s, hand_written), name
+        assert res == _catalog_reference(name, index).result, name
         assert res.ok
     # every catalog strategy took the scaled float64 grid, in chunks of at
     # most 4096 atoms
@@ -546,7 +604,21 @@ def test_exhaustive_fallback_equals_per_atom_reference(name, model, s, strat, mo
     calls = _count_chunk_couplings(monkeypatch)
     res = ss.verify_exhaustive(model, s, strat)
     assert calls and {dtype for _, dtype in calls} == {np.dtype(object)}
-    assert res == _verify_exhaustive_reference(model, s, strat) and res.ok
+    assert res == _verify_exhaustive_reference(model, s, strat).result and res.ok
+
+
+def test_symbol_readback_marks_off_support_steps():
+    # the float grid's sorted search reads symbols as the object grid's
+    # lookup does, on an unsorted support, and marks every other value -1
+    disc = ss.discrete([2, -1, 0], ["1/6", "1/3", "1/2"])
+    scale, grid = oracle.exact_grid(disc, 2, True)
+    assert scale == 1 and grid.dtype == float
+    steps = [2, -1, 0, 7, -3, Fraction(1, 2), 1]
+    want = [[0, 1, 2, -1, -1, -1, -1]]
+    floats = np.array([[float(v) for v in steps] + [np.nan]])
+    assert alignment._symbol_reader(grid)(floats).tolist() == [want[0] + [-1]]
+    exact = np.array([[Fraction(v) for v in steps]], dtype=object)
+    assert alignment._symbol_reader(np.array(disc.support, dtype=object))(exact).tolist() == want
 
 
 def _plant(monkeypatch, edit):

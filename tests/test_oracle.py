@@ -1,6 +1,8 @@
 """Exact expectations, backward induction, the uncompressed search, and the
 order-statistics inequality."""
 
+import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import staged_select as ss
-from scalar_reference import literal_profile_search
+from scalar_reference import literal_profile_search, reference_search
+from staged_select import oracle
 from staged_select.errors import (
     ConfigInvalid,
     EnumerationTooLarge,
@@ -133,6 +136,123 @@ def test_exact_value_needs_discrete_steps():
     for model in (ss.gaussian(0, 1), ss.uniform(-1, 1)):
         with pytest.raises(ConfigInvalid, match="discrete-step model"):
             ss.exact_expected_value(model, SCHEDULE_A, ss.greedy_strategy())
+
+
+# --- the frontier walk on every grid --------------------------------------------
+
+# supports that take the walk's other arithmetic: a support with
+# denominators (the float64 grid scaled by 6), one past the 2**52 guard (the
+# Fraction object grid), and probabilities whose common denominator to the
+# power of the walk's 5 steps overflows int64 (Python-int sums)
+GRIDS = {
+    "H": (ss.discrete(["1/2", "-1/3"], ["2/5", "3/5"]), ss.validate_schedule([1, 3], [2, 1], N=3, T=3)),
+    "G": (ss.discrete([2 ** 60, -1], ["1/2", "1/2"]), SCHEDULE_A),
+    "P": (ss.discrete([1, -1], ["1/1000003", "1000002/1000003"]), SCHEDULE_A),
+}
+ALL_INSTANCES = {**INSTANCES, **GRIDS}
+# a custom chooser, not a `RankRule`: decided row by row on the object grid
+KEEP_WORST = ss.Strategy(
+    name="keep_worst",
+    chooser=lambda v, n: sorted(v.survivors, key=lambda i: (v.value_at(i, v.time), i))[:n],
+)
+
+
+def test_grids_take_each_branch():
+    scaled = oracle.exact_grid(GRIDS["H"][0], 3, True)
+    assert scaled[0] == 6 and scaled[1].tolist() == [3.0, -2.0]
+    for disc, scale_invariant in ((GRIDS["G"][0], True), (GRIDS["H"][0], False)):
+        scale, grid = oracle.exact_grid(disc, 3, scale_invariant)
+        assert scale == 1 and grid.dtype == object and grid.tolist() == list(disc.support)
+    assert 1000003 ** 5 > 2 ** 63
+
+
+@pytest.mark.parametrize("name", sorted(ALL_INSTANCES))
+def test_frontier_walk_equals_per_atom_reference(name):
+    # the catalog on A-F is pinned above; here the other grids, and the
+    # custom chooser everywhere
+    model, s = ALL_INSTANCES[name]
+    strategies = [*ss.full_catalog(), KEEP_WORST] if name in GRIDS else [KEEP_WORST]
+    atoms = ss.enumerate_paths(model, s.N, s.T)
+    for strat, got in zip(strategies, ss.exact_expected_values(model, s, strategies)):
+        reference = sum(p * ss.run_selection(x, s, strat).final_value for x, p in atoms)
+        assert type(got.value) is Fraction
+        assert got.value == reference, (name, strat.describe())
+
+
+def _search_nodes(model, s):
+    """Reachable decision histories, counted from the schedule alone."""
+    disc = model.as_discrete() if isinstance(model, ss.Rademacher) else model
+    histories, total, alive = 1, 0, s.N
+    for (lo, hi), size in zip(s.block_bounds(), s.sizes):
+        histories *= len(disc.support) ** (alive * (hi - lo))
+        total += histories
+        histories *= math.comb(alive, size)
+        alive = size
+    return total
+
+
+@pytest.mark.parametrize("name", sorted(ALL_INSTANCES))
+def test_search_equals_dp_and_recursive_reference(name):
+    model, s = ALL_INSTANCES[name]
+    res = ss.exhaustive_strategy_search(model, s)
+    value, visited = reference_search(model, s)
+    opt, _ = ss.dp_optimal_value(model, s)
+    assert type(res.best.value) is Fraction
+    assert res.best.value == value == opt.value
+    assert res.decision_histories == visited == _search_nodes(model, s)
+
+
+def _late(stage, misstep):
+    """A chooser that keeps the first candidates, and at `stage` takes
+    `misstep` instead."""
+    def choose(view, size):
+        if view.stage == stage:
+            return misstep(view, size)
+        return view.survivors[:size]
+    return ss.Strategy(name="late", chooser=choose)
+
+
+def _first_casualty(view):
+    return next(i for i in range(view.n_processes) if i not in view.survivors)
+
+
+@pytest.mark.parametrize("name", ["D", "H", "G"])
+def test_strategy_errors_reach_the_caller_from_the_last_stage(name):
+    # D has three stages: the errors arise deep in the walk, on the object grid
+    model, s = ALL_INSTANCES[name]
+    k = s.stages
+
+    def peek(view, size):
+        view.value_at(_first_casualty(view), view.time)
+        return view.survivors[:size]
+
+    with pytest.raises(ValueHidden):
+        ss.exact_expected_value(model, s, _late(k, peek))
+    outsider = _late(k, lambda v, n: [_first_casualty(v)])
+    with pytest.raises(StrategyViolation):
+        ss.exact_expected_value(model, s, outsider)
+    too_many = _late(k, lambda v, n: v.survivors)
+    with pytest.raises(StrategyViolation):
+        ss.exact_expected_value(model, s, too_many)
+
+
+def test_frontier_walk_at_the_enumeration_cap():
+    # 2**20 atoms, 1,067,552 raw decision histories: the walk takes its
+    # frontiers a slice at a time, so peak memory does not grow with them
+    model = ss.rademacher(1)
+    s = ss.validate_schedule([1, 2, 3, 4], [4, 3, 2, 1], N=5, T=4)
+    tracemalloc.start()
+    try:
+        res = ss.exhaustive_strategy_search(model, s)
+        values = ss.exact_expected_values(model, s, ss.full_catalog())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    opt, _ = ss.dp_optimal_value(model, s)
+    assert res.decision_histories == _search_nodes(model, s) == 1_067_552
+    assert res.best.value == opt.value == values[0].value == Fraction(17285, 8192)
+    assert values[0].strategy == "greedy" and all(v.value <= opt.value for v in values)
+    assert peak < 32 * 2 ** 20, peak
 
 
 # --- backward induction --------------------------------------------------------
